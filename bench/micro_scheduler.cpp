@@ -70,24 +70,36 @@ void BM_EndToEndExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndExperiment)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
 
-workflow::Dag one_job_dag(std::uint64_t base, const std::string& input) {
+/// A `length`-job chain; each job consumes its parent's output and the
+/// root reads `input`.
+workflow::Dag chain_dag(std::uint64_t base, std::uint64_t length,
+                        const std::string& input) {
   workflow::Dag dag(DagId(base), "sweep-" + std::to_string(base));
-  workflow::JobSpec job;
-  job.id = JobId(base * 10 + 1);
-  job.name = "j";
-  job.compute_time = 60.0;
-  job.inputs = {input};
-  job.output = "lfn://sweep-out/" + std::to_string(base);
-  dag.add_job(job);
+  std::string prev = input;
+  for (std::uint64_t k = 1; k <= length; ++k) {
+    workflow::JobSpec job;
+    job.id = JobId(base * 10 + k);
+    job.name = "j" + std::to_string(k);
+    job.compute_time = 60.0;
+    job.inputs = {prev};
+    job.output = "lfn://sweep-out/" + std::to_string(base * 10 + k);
+    prev = job.output;
+    dag.add_job(job);
+    if (k > 1) dag.add_edge(JobId(base * 10 + k - 1), job.id);
+  }
   return dag;
 }
 
 void BM_SweepCost(benchmark::State& state) {
-  // Sweep cost must be O(changed work): N mostly-idle planning DAGs sit
-  // in the warehouse while a fixed handful stays blocked (inputs with no
-  // replicas), so every sweep retries only the blocked ones.  Growing N
-  // 100x should leave the per-sweep time roughly flat.
-  const std::uint64_t idle = static_cast<std::uint64_t>(state.range(0));
+  // Sweep cost must be O(changed work): N parked planning DAGs sit in
+  // the warehouse while a fixed handful stays blocked (inputs with no
+  // replicas), so every sweep retries only the blocked ones.  A parked
+  // DAG is a chain whose root is planned and in flight: length 1 is an
+  // idle, fully planned DAG; length 4 leaves three jobs waiting on
+  // parents, the shape paper workloads produce.  Growing N 100x should
+  // leave the per-sweep time roughly flat for both.
+  const std::uint64_t parked = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t length = static_cast<std::uint64_t>(state.range(1));
   constexpr std::uint64_t kActive = 8;
   exp::ScenarioConfig config;
   config.seed = 5;
@@ -96,28 +108,27 @@ void BM_SweepCost(benchmark::State& state) {
   exp::Scenario scenario(config);
   exp::Tenant& tenant = scenario.add_tenant("bench", exp::TenantOptions{});
   core::DataWarehouse& wh = tenant.server->warehouse();
-  for (std::uint64_t i = 1; i <= idle; ++i) {
-    // Fully planned: no unplanned jobs, so the DAG settles off the queue.
-    wh.insert_dag(one_job_dag(i, "lfn://sweep-in"), "bench", UserId(1), 0.0);
+  for (std::uint64_t i = 1; i <= parked; ++i) {
+    wh.insert_dag(chain_dag(i, length, "lfn://sweep-in"), "bench", UserId(1),
+                  0.0);
     wh.set_dag_state(DagId(i), core::DagState::kPlanning);
     wh.set_job_planned(JobId(i * 10 + 1), SiteId(1), 0.0);
   }
-  for (std::uint64_t i = idle + 1; i <= idle + kActive; ++i) {
+  for (std::uint64_t i = parked + 1; i <= parked + kActive; ++i) {
     // Unplanned job whose input has no replica: blocked every sweep.
-    wh.insert_dag(one_job_dag(i, "lfn://nowhere/" + std::to_string(i)),
+    wh.insert_dag(chain_dag(i, 1, "lfn://nowhere/" + std::to_string(i)),
                   "bench", UserId(1), 0.0);
     wh.set_dag_state(DagId(i), core::DagState::kPlanning);
   }
-  tenant.server->sweep();  // settle: the idle DAGs drain and stay idle
+  tenant.server->sweep();  // settle: the parked DAGs drain and stay parked
   for (auto _ : state) {
     tenant.server->sweep();
   }
-  state.SetLabel("idle=" + std::to_string(idle) + " active=8");
+  state.SetLabel("parked=" + std::to_string(parked) +
+                 " length=" + std::to_string(length) + " active=8");
 }
 BENCHMARK(BM_SweepCost)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000)
+    ->ArgsProduct({{100, 1000, 10000}, {1, 4}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "core/client.hpp"
 
+#include <algorithm>
+#include <limits>
+
 namespace sphinx::core {
 
 using rpc::XrValue;
@@ -117,6 +120,7 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
     erase_tracked(key);
   }
   if (plan->speculative) {
+    tracked.racing = true;
     ++racing_now_;
     // Cross-layer contract: the server enforces its speculation budgets
     // *before* sending a plan; more concurrent racers than the client
@@ -179,11 +183,29 @@ void SphinxClient::finish_tracking(Tracked& tracked) {
 void SphinxClient::erase_tracked(Key key) {
   const auto it = tracked_.find(key);
   if (it == tracked_.end()) return;
-  if (it->second.plan.speculative) {
+  const bool was_racing = it->second.racing;
+  tracked_.erase(it);
+  if (was_racing) {
+    SPHINX_ASSERT(racing_now_ > 0, "racing counter underflow");
+    --racing_now_;
+    return;
+  }
+  if (racing_now_ == 0) return;  // no replica anywhere to release
+  // A non-racing attempt left (completed, failed, timed out).  If it was
+  // the job's last one, the replicas racing it have no live sibling: the
+  // server already settled those races (kPrimaryWon or kPrimaryDead) and
+  // no longer counts them against its budget.
+  const auto first = tracked_.lower_bound(
+      Key{key.first, std::numeric_limits<int>::min()});
+  auto last = first;
+  while (last != tracked_.end() && last->first.first == key.first) ++last;
+  const auto live_primary = [](const auto& e) { return !e.second.racing; };
+  if (std::any_of(first, last, live_primary)) return;
+  for (auto sibling = first; sibling != last; ++sibling) {
+    sibling->second.racing = false;
     SPHINX_ASSERT(racing_now_ > 0, "racing counter underflow");
     --racing_now_;
   }
-  tracked_.erase(it);
 }
 
 Expected<XrValue> SphinxClient::handle_cancel_attempt(

@@ -169,6 +169,10 @@ class SphinxClient {
     sim::EventHandle timeout;
     int extensions = 0;
     bool terminal = false;
+    /// A speculative replica whose race is still open on this side: set
+    /// on arrival, cleared when the last non-racing attempt of the job
+    /// leaves the tracker (the server has then settled the race).
+    bool racing = false;
   };
 
   /// Tracker entries are keyed per (job, attempt): a speculation race has
@@ -196,7 +200,7 @@ class SphinxClient {
   /// Jobs whose first completion has already been observed; a sibling
   /// attempt completing later is the race loser and is arbitrated away.
   std::unordered_set<std::uint64_t> completed_jobs_;
-  /// Speculative attempts currently tracked, for the budget contract.
+  /// Tracked entries with `racing` set, for the budget contract.
   std::size_t racing_now_ = 0;  // sphinx-lint: derived(handle_execute_plan, erase_tracked)
   /// Every (job, attempt) accepted for submission, for the duplicate-plan
   /// guard.  Legitimate replans always carry a fresh attempt number, so

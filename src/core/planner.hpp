@@ -38,10 +38,11 @@ class Planner {
     /// Plans persisted this pass, in decision order; the server delivers
     /// them to the client.
     std::vector<ExecutionPlan> plans;
-    /// True when the DAG still has unplanned jobs (blocked on parents,
-    /// missing inputs, or no feasible site).  The server re-marks the DAG
-    /// dirty so those jobs are retried next sweep.
-    bool jobs_left_unplanned = false;
+    /// True when a ready job (all parents completed) stayed unplanned:
+    /// an input has no replica or no site is feasible.  The server
+    /// re-marks the DAG dirty so those jobs are retried next sweep.  Jobs
+    /// still waiting on parents never set it.
+    bool ready_jobs_unplaced = false;
   };
 
   /// Plans every ready job of a planning-state DAG.

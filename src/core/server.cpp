@@ -384,8 +384,10 @@ void SphinxServer::sweep() {
                      });
   }
   const SimTime now = bus_.engine().now();
+  std::uint64_t empty_plans = 0;  // plan_dag calls that planned nothing
   for (const DagRecord& dag : planning) {
     Planner::Outcome outcome = planner_->plan_dag(dag, now);
+    if (outcome.plans.empty()) ++empty_plans;
     for (const ExecutionPlan& plan : outcome.plans) {
       send_plan(dag.client, plan);
       if (recorder_ != nullptr) {
@@ -405,9 +407,13 @@ void SphinxServer::sweep() {
         }
       }
     }
-    // Blocked or unplaceable jobs are retried every sweep, like the old
-    // full-scan control process did.
-    if (outcome.jobs_left_unplanned) warehouse_->mark_dag_dirty(dag.id);
+    // Ready-set rule: only a DAG holding a ready job the planner could not
+    // place is retried next sweep.  A DAG whose unplanned jobs all wait on
+    // parents stays off the queue until a parent completes.
+    if (outcome.ready_jobs_unplaced) warehouse_->mark_dag_dirty(dag.id);
+  }
+  if (empty_plans > 0 && recorder_ != nullptr) {
+    recorder_->count(config_.endpoint, "server.empty_plans", empty_plans);
   }
 
   // Straggler defense: after regular planning, scan the in-flight jobs

@@ -202,22 +202,15 @@ void DataWarehouse::rebuild_work_state() {
   }
   outstanding_.clear();
 
-  // One pass over jobs: rebuild the outstanding counters and note which
-  // DAGs still have unplanned work.
+  // One pass over jobs: rebuild the outstanding counters.
   const db::Table& jobs = db_.table("jobs");
   const std::size_t job_state_col = jobs.schema().index_of("state");
   const std::size_t job_site_col = jobs.schema().index_of("site");
   const std::size_t job_dag_col = jobs.schema().index_of("dag_id");
-  std::unordered_set<std::uint64_t> dags_with_unplanned;
   jobs.for_each([&](const db::Row& row) {
-    const JobState state = job_state_from(row.cells[job_state_col].as_text());
-    if (is_outstanding(state)) {
+    if (is_outstanding(job_state_from(row.cells[job_state_col].as_text()))) {
       ++outstanding_[SiteId(
           static_cast<std::uint64_t>(row.cells[job_site_col].as_int()))];
-    }
-    if (state == JobState::kUnplanned) {
-      dags_with_unplanned.insert(
-          static_cast<std::uint64_t>(row.cells[job_dag_col].as_int()));
     }
   });
   // Open speculation races: the job row tracks the replica attempt, so
@@ -288,17 +281,18 @@ void DataWarehouse::rebuild_work_state() {
   }
 
   // One enqueue has no journal footprint: the sweep re-marks any drained
-  // DAG whose planner left jobs unplanned (blocked, unplaceable or
-  // waiting on parents -- retried every sweep).  Such DAGs are therefore
-  // continuously dirty on a live server, so queueing every unfinished
-  // DAG that still holds an unplanned job reproduces those marks
-  // exactly.
+  // DAG holding a ready job it could not place (no input replica, no
+  // feasible site).  A job becomes ready-unplanned only through a
+  // journaled enqueue (insert, a fall back to unplanned, its last
+  // parent's completion), and leaves that state only through a sweep, so
+  // such DAGs stay continuously dirty on a live server.  Queueing every
+  // unfinished DAG that holds a ready unplanned job therefore reproduces
+  // those marks exactly; DAGs whose unplanned jobs all wait on parents
+  // were never re-marked and are not queued here either.
   dags.for_each([&](const db::Row& row) {
     if (row.cells[dag_state_col].as_text() == dag_finished) return;
-    if (dags_with_unplanned.contains(
-            static_cast<std::uint64_t>(row.cells[dag_id_col].as_int()))) {
-      dirty_rows_.insert(row.id);
-    }
+    const DagId dag(static_cast<std::uint64_t>(row.cells[dag_id_col].as_int()));
+    if (!ready_jobs(dag).empty()) dirty_rows_.insert(row.id);
   });
 }
 
@@ -568,6 +562,18 @@ std::unordered_set<JobId> DataWarehouse::completed_jobs(DagId dag) const {
   for (const JobRecord& job : jobs_of_dag(dag)) {
     if (job.state == JobState::kCompleted) out.insert(job.id);
   }
+  return out;
+}
+
+std::vector<JobRecord> DataWarehouse::ready_jobs(DagId dag) const {
+  const auto completed = completed_jobs(dag);
+  std::vector<JobRecord> out = jobs_of_dag(dag);
+  std::erase_if(out, [&](const JobRecord& job) {
+    if (job.state != JobState::kUnplanned) return true;
+    const auto parents = job_parents(job.id);
+    return !std::all_of(parents.begin(), parents.end(),
+                        [&](JobId p) { return completed.contains(p); });
+  });
   return out;
 }
 

@@ -189,8 +189,12 @@ class DataWarehouse {
   [[nodiscard]] std::vector<JobId> job_parents(JobId id) const;
   /// Jobs that consume this job's output (dependency children).
   [[nodiscard]] std::vector<JobId> job_children(JobId id) const;
-  /// Completed jobs of one DAG (for the ready-set computation).
+  /// Completed jobs of one DAG.
   [[nodiscard]] std::unordered_set<JobId> completed_jobs(DagId dag) const;
+  /// The DAG's ready set: unplanned jobs whose parents have all
+  /// completed, in jobs_of_dag() order.  Jobs still waiting on a parent
+  /// are not pending work; a parent's completion re-queues the DAG.
+  [[nodiscard]] std::vector<JobRecord> ready_jobs(DagId dag) const;
   /// Jobs outstanding on a site (eq. 1/2's planned + unfinished term).
   /// Served from the live counter; O(1).
   [[nodiscard]] std::int64_t outstanding_on_site(SiteId site) const;
@@ -207,8 +211,9 @@ class DataWarehouse {
 
   // --- work queue (dirty list) ------------------------------------------
   /// Enqueues a DAG for the next sweep.  Transitions that create planning
-  /// work mark automatically; the server re-marks a DAG it leaves with
-  /// unplanned jobs so blocked work is retried every sweep.  Idempotent.
+  /// work mark automatically; the server re-marks a DAG that holds a
+  /// ready job it could not place, so that job is retried next sweep.
+  /// Jobs blocked on parents wait for a parent's completion.  Idempotent.
   void mark_dag_dirty(DagId id);
   /// Removes and returns the queued DAGs as fresh records, in table
   /// insertion order (the order dags_in_state() used to yield), skipping

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -251,6 +252,107 @@ TEST(ServerProtocol, MidRunRecoveryRebuildsWorkState) {
   }
   EXPECT_EQ(r.dirty_dags(), expected);
   r.check_invariants();
+}
+
+/// A `length`-job chain: each job consumes its parent's output; the root
+/// reads `root_input` (registered or not, at the caller's choice).
+workflow::Dag chain_dag(Scenario& scenario, const std::string& name,
+                        int length, const data::Lfn& root_input,
+                        Duration compute_time = 60.0) {
+  workflow::Dag dag(scenario.ids().dags.next(), name);
+  JobId prev;
+  data::Lfn prev_out = root_input;
+  for (int i = 0; i < length; ++i) {
+    workflow::JobSpec job;
+    job.id = scenario.ids().jobs.next();
+    job.name = name + "-" + std::to_string(i);
+    job.compute_time = compute_time;
+    job.inputs = {prev_out};
+    job.output = "lfn://" + name + "/out" + std::to_string(i);
+    job.output_bytes = 1e6;
+    dag.add_job(job);
+    if (i > 0) dag.add_edge(prev, job.id);
+    prev = job.id;
+    prev_out = job.output;
+  }
+  return dag;
+}
+
+TEST(ServerSweep, ParentBlockedChainsStayOffTheQueue) {
+  // Ready-set planning: a DAG whose unplanned jobs all wait on parents
+  // is not re-planned until a parent completes.  On a failure-free grid
+  // every plan_dag call is then caused by a submission or a completion,
+  // so calls that plan nothing cannot outnumber job completions.  A
+  // sweep that re-queues parent-blocked DAGs runs one empty pass per
+  // chain per 5 s sweep while a stage computes, far above that bound.
+  Scenario scenario(quiet(29));
+  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
+  scenario.rls().register_replica("lfn://chains/seed", SiteId(1), 1e6);
+  std::vector<workflow::Dag> dags;
+  for (int i = 0; i < 6; ++i) {
+    dags.push_back(chain_dag(scenario, "chain" + std::to_string(i), 5,
+                             "lfn://chains/seed"));
+  }
+  scenario.start();
+  scenario.engine().schedule_at(1.0, "submit", [&] {
+    for (const auto& dag : dags) tenant.client->submit(dag);
+  });
+  scenario.run(hours(6));
+  ASSERT_TRUE(tenant.client->all_dags_finished());
+
+  const std::string server = "sphinx-server/t";
+  const std::uint64_t empty =
+      scenario.recorder().counter("server.empty_plans", server);
+  const std::uint64_t completions =
+      scenario.recorder().counter("tracker.completions", "sphinx-client/t");
+  EXPECT_EQ(completions, 30u);
+  EXPECT_EQ(scenario.recorder().counter("server.plans", server), 30u);
+  EXPECT_LE(empty, completions);
+}
+
+TEST(ServerProtocol, RecoveredQueueMatchesLiveWithBlockedAndUnplaceableDags) {
+  // Crash with both kinds of DAG holding unplanned work: chains whose
+  // root is still computing (children blocked on parents, off the queue)
+  // and single jobs whose input has no replica (ready but unplaceable,
+  // re-queued by every sweep).  The recovered queue must be the live
+  // one, byte for byte: the blocked chains absent, the unplaceable DAGs
+  // present.
+  Scenario scenario(quiet(31));
+  Tenant& tenant = scenario.add_tenant("t", TenantOptions{});
+  scenario.rls().register_replica("lfn://mixed/seed", SiteId(1), 1e6);
+  std::vector<workflow::Dag> blocked;
+  std::vector<workflow::Dag> unplaceable;
+  for (int i = 0; i < 3; ++i) {
+    blocked.push_back(chain_dag(scenario, "blocked" + std::to_string(i), 3,
+                                "lfn://mixed/seed", hours(2)));
+    unplaceable.push_back(
+        chain_dag(scenario, "unplaceable" + std::to_string(i), 1,
+                  "lfn://mixed/nowhere" + std::to_string(i)));
+  }
+  scenario.start();
+  scenario.engine().schedule_at(1.0, "submit", [&] {
+    for (int i = 0; i < 3; ++i) {
+      tenant.client->submit(blocked[i]);
+      tenant.client->submit(unplaceable[i]);
+    }
+  });
+  scenario.engine().run_until(minutes(10));
+  tenant.server->stop();  // crash point: the journal is all that survives
+
+  const core::DataWarehouse& live = tenant.server->warehouse();
+  std::vector<DagId> expected;
+  for (const auto& dag : unplaceable) expected.push_back(dag.id());
+  std::vector<DagId> queued = live.dirty_dags();
+  std::sort(queued.begin(), queued.end());
+  ASSERT_EQ(queued, expected);
+  for (const auto& dag : blocked) {
+    ASSERT_EQ(live.dag(dag.id())->state, core::DagState::kPlanning);
+  }
+
+  const auto recovered = core::DataWarehouse::recover_from(live.journal());
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ((*recovered)->dirty_dags(), live.dirty_dags());
+  (*recovered)->check_invariants();
 }
 
 TEST(ClientProtocol, TimeoutRearmsFromObservationWithFreshBudgetOnReplan) {

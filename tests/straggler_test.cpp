@@ -17,6 +17,7 @@
 #include "common/stats.hpp"
 #include "core/straggler.hpp"
 #include "core/warehouse.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "workflow/generator.hpp"
 
@@ -437,6 +438,33 @@ TEST(StragglerE2E, SpeculationOffLaunchesNothing) {
   EXPECT_EQ(run.server.speculations, 0u);
   EXPECT_EQ(run.tracker.speculative_plans, 0u);
   EXPECT_EQ(run.tracker.race_cancels, 0u);
+}
+
+TEST(StragglerE2E, ReplicaStopsRacingWhenItsPrimaryLeaves) {
+  // Under a lossy wire a primary attempt often leaves the client tracker
+  // (it failed, timed out or completed) while its replica still runs.
+  // The server has settled that race, so the client must stop counting
+  // the replica against its speculation budget; a client that kept
+  // counting it tripped the budget assertion within 20 DAGs here.
+  exp::ExperimentConfig config;
+  config.scenario.seed = 7;
+  config.dag_count = 20;
+  config.horizon = hours(12);
+  rpc::LinkFaultRule rule;  // empty prefixes: every link, whole run
+  rule.loss = 0.05;
+  config.scenario.network_faults.rules.push_back(rule);
+  exp::TenantOptions feedback;
+  feedback.speculate = true;
+  exp::TenantOptions round_robin = feedback;
+  round_robin.algorithm = core::Algorithm::kRoundRobin;
+  round_robin.use_feedback = false;
+  exp::Experiment experiment(config);
+  const auto results =
+      experiment.run({{"feedback", feedback}, {"no-feedback", round_robin}});
+  for (const exp::TenantResult& r : results) {
+    EXPECT_EQ(r.dags_finished, r.dags_total) << r.label;
+    EXPECT_EQ(r.submissions, r.unique_submissions) << r.label;
+  }
 }
 
 // --- A/B tail-latency gate --------------------------------------------------
