@@ -1,6 +1,7 @@
 /// Microbenchmarks for the data substrates the planner leans on: RLS
 /// lookups (single vs clubbed), replica selection, the GridFTP fluid
-/// model, and XML-RPC wire costs.
+/// model (arrival churn and 1k/10k concurrent flows), and XML-RPC wire
+/// costs.
 
 #include <benchmark/benchmark.h>
 
@@ -90,6 +91,32 @@ void BM_GridFtpChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GridFtpChurn)->Range(64, 1024);
+
+void BM_GridFtpConcurrent(benchmark::State& state) {
+  // N flows alive at once across 15 sites, run until drained: every
+  // start and every completion batch re-rates all live flows.
+  const auto n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine engine;
+    data::TransferService transfers(engine);
+    for (std::uint64_t s = 1; s <= 15; ++s) {
+      transfers.set_link(SiteId(s), {20e6, 20e6});
+    }
+    int done = 0;
+    for (int i = 0; i < n; ++i) {
+      transfers.transfer(SiteId(1 + i % 15), SiteId(1 + (i + 7) % 15),
+                         5e7 + 1e6 * (i % 97),
+                         [&done](TransferId, Duration) { ++done; });
+    }
+    engine.run_until();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GridFtpConcurrent)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
   workflow::IdSpace ids;

@@ -7,10 +7,17 @@
 /// n_dst) bytes per second, recomputed whenever a transfer starts or
 /// finishes.  Stage-in time is therefore load-dependent, which is what
 /// makes the paper's jobs take "three or four minutes" instead of one.
+///
+/// The state is dense: links sit in a vector indexed by site id, each
+/// carrying its live up/down flow counts (kept up to date by +/-1 as
+/// flows start and end), and live flows sit in a vector in ascending id
+/// order.  Every event still advances every flow, recomputes every rate
+/// and rescans for the next completion in id order, so the floating-point
+/// results are exactly those of a from-scratch recount; what an event no
+/// longer pays for is hashing and tree nodes.
 
 #include <functional>
-#include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -40,17 +47,22 @@ class TransferService {
   using Callback = std::function<void(TransferId, Duration)>;
 
   explicit TransferService(sim::Engine& engine);
+  /// Scheduled events hold `this`.
+  TransferService(const TransferService&) = delete;
+  TransferService& operator=(const TransferService&) = delete;
 
   /// Sets (or replaces) a site's link capacities.
   void set_link(SiteId site, LinkConfig link);
   [[nodiscard]] LinkConfig link(SiteId site) const;
 
   /// Starts a transfer of `bytes` from `src` to `dst`.  A transfer within
-  /// one site completes immediately (local access).  The callback fires
-  /// exactly once unless the transfer is cancelled.
+  /// one site, or of zero bytes, completes on the next event at the same
+  /// instant (local access; its bytes count as moved at once).  The
+  /// callback fires exactly once unless the transfer is cancelled.
   TransferId transfer(SiteId src, SiteId dst, double bytes, Callback done);
 
-  /// Cancels an in-flight transfer; its callback never fires.
+  /// Cancels an in-flight or pending local transfer; its callback never
+  /// fires.  Unknown or finished ids are ignored.
   void cancel(TransferId id);
 
   [[nodiscard]] std::size_t active() const noexcept { return active_.size(); }
@@ -62,32 +74,55 @@ class TransferService {
 
  private:
   struct Active {
+    TransferId id;
     SiteId src;
     SiteId dst;
     double remaining = 0.0;
     double rate = 0.0;  ///< current bytes/sec
     SimTime started_at = 0.0;
+    /// This flow's remaining/rate determined the pending completion
+    /// event; it is force-completed when that fires (guards against
+    /// floating-point residues that would otherwise reschedule with ~zero
+    /// progress).
+    bool due = false;
     Callback done;
   };
 
+  /// A site's capacities plus the live flows using them.
+  struct Link {
+    LinkConfig config;
+    int up = 0;    ///< active flows with this site as source
+    int down = 0;  ///< active flows with this site as destination
+  };
+
+  /// A same-site or zero-byte transfer waiting for its completion event.
+  struct Local {
+    TransferId id;
+    sim::EventHandle event;
+  };
+
+  /// The slot for `site`, growing the table with default links.
+  Link& slot(SiteId site);
+  /// Removes `a`'s flow from its links' counts.
+  void release(const Active& a);
   /// Applies elapsed progress, recomputes rates, reschedules completion.
   void rebalance();
   void advance_to_now();
   void schedule_next_completion();
+  /// The completion event: finishes the due and drained flows, then
+  /// fires their callbacks in id order.
+  void complete_due();
 
   sim::Engine& engine_;
-  std::unordered_map<SiteId, LinkConfig> links_;  // looked up, never iterated
-  /// Ordered by id: iteration feeds stats accumulation, completion
-  /// scheduling and the due_ list, all of which must replay identically
-  /// under a fixed seed (rule ordered-escape).
-  std::map<TransferId, Active> active_;
+  std::vector<Link> links_;  ///< indexed by SiteId::value()
+  /// Ascending id order (ids are monotonic, so starts append): iteration
+  /// feeds stats accumulation, completion scheduling and callback order,
+  /// all of which must replay identically under a fixed seed.
+  std::vector<Active> active_;
+  std::vector<Local> local_;  ///< ascending id order, like active_
   IdGenerator<TransferId> ids_;
   SimTime last_update_ = 0.0;
   sim::EventHandle next_completion_;
-  /// Transfers whose remaining/rate determined the pending completion
-  /// event; force-completed when it fires (guards against floating-point
-  /// residues that would otherwise reschedule with ~zero progress).
-  std::vector<TransferId> due_;
   TransferStats stats_;
 };
 

@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "data/gridftp.hpp"
 #include "data/replication.hpp"
 #include "data/rls.hpp"
@@ -194,6 +202,29 @@ TEST_F(TransferFixture, CancelSilencesCallbackAndFreesBandwidth) {
   EXPECT_NEAR(b_done, 6.0, 1e-6);
 }
 
+TEST_F(TransferFixture, CancelStopsPendingLocalTransfer) {
+  // Same-site and zero-byte transfers complete on the next event; until
+  // it fires they are cancellable like any other transfer.
+  bool fired = false;
+  const auto never = [&](TransferId, Duration) { fired = true; };
+  const TransferId same_site =
+      transfers.transfer(SiteId(1), SiteId(1), 10 * kMB, never);
+  const TransferId zero_bytes =
+      transfers.transfer(SiteId(1), SiteId(2), 0.0, never);
+  int kept = 0;
+  transfers.transfer(SiteId(2), SiteId(2), 10 * kMB,
+                     [&](TransferId, Duration) { ++kept; });
+  transfers.cancel(same_site);
+  transfers.cancel(zero_bytes);
+  transfers.cancel(zero_bytes);  // already cancelled: ignored
+  engine.run_until();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(kept, 1);
+  EXPECT_EQ(transfers.stats().started, 3u);
+  EXPECT_EQ(transfers.stats().completed, 1u);
+  EXPECT_EQ(transfers.stats().cancelled, 2u);
+}
+
 TEST_F(TransferFixture, EstimateIgnoresContention) {
   EXPECT_NEAR(transfers.estimate(SiteId(1), SiteId(2), 100 * kMB), 10.0, 1e-9);
   EXPECT_NEAR(transfers.estimate(SiteId(3), SiteId(2), 10 * kMB), 10.0, 1e-9);
@@ -209,6 +240,301 @@ TEST_F(TransferFixture, ManyConcurrentTransfersAllComplete) {
   engine.run_until();
   EXPECT_EQ(completed, 50);
   EXPECT_EQ(transfers.active(), 0u);
+}
+
+// ------------------------------------------- differential fluid model test
+
+/// The map-based fluid model TransferService replaced, kept verbatim as
+/// the oracle for the dense one (only the local-transfer path carries the
+/// same cancel fix): fresh hash-map flow counts on every rebalance, flows
+/// in a std::map, due ids in a side list.  Every output of the two must
+/// agree to the last bit.
+class MapTransferModel {
+ public:
+  using Callback = TransferService::Callback;
+
+  explicit MapTransferModel(sim::Engine& engine) : engine_(engine) {}
+
+  void set_link(SiteId site, LinkConfig link) { links_[site] = link; }
+
+  [[nodiscard]] LinkConfig link(SiteId site) const {
+    const auto it = links_.find(site);
+    return it == links_.end() ? LinkConfig{} : it->second;
+  }
+
+  TransferId transfer(SiteId src, SiteId dst, double bytes, Callback done) {
+    const TransferId id = ids_.next();
+    ++stats_.started;
+    if (src == dst || bytes <= 0) {
+      stats_.bytes_moved += bytes;
+      local_[id] = engine_.schedule_in(
+          0.0, "gridftp:local", [this, done = std::move(done), id] {
+            local_.erase(id);
+            ++stats_.completed;
+            done(id, 0.0);
+          });
+      return id;
+    }
+    advance_to_now();
+    Active a;
+    a.src = src;
+    a.dst = dst;
+    a.remaining = bytes;
+    a.started_at = engine_.now();
+    a.done = std::move(done);
+    active_.emplace(id, std::move(a));
+    rebalance();
+    return id;
+  }
+
+  void cancel(TransferId id) {
+    if (const auto local = local_.find(id); local != local_.end()) {
+      engine_.cancel(local->second);
+      local_.erase(local);
+      ++stats_.cancelled;
+      return;
+    }
+    const auto it = active_.find(id);
+    if (it == active_.end()) return;
+    advance_to_now();
+    active_.erase(it);
+    ++stats_.cancelled;
+    rebalance();
+  }
+
+  [[nodiscard]] std::size_t active() const noexcept { return active_.size(); }
+  [[nodiscard]] const TransferStats& stats() const noexcept { return stats_; }
+
+ private:
+  struct Active {
+    SiteId src;
+    SiteId dst;
+    double remaining = 0.0;
+    double rate = 0.0;
+    SimTime started_at = 0.0;
+    Callback done;
+  };
+
+  void advance_to_now() {
+    const SimTime now = engine_.now();
+    const Duration dt = now - last_update_;
+    if (dt > 0) {
+      for (auto& [id, a] : active_) {
+        a.remaining = std::max(0.0, a.remaining - a.rate * dt);
+        stats_.bytes_moved += a.rate * dt;
+      }
+    }
+    last_update_ = now;
+  }
+
+  void rebalance() {
+    std::unordered_map<SiteId, int> up_count;
+    std::unordered_map<SiteId, int> down_count;
+    for (const auto& [id, a] : active_) {
+      ++up_count[a.src];
+      ++down_count[a.dst];
+    }
+    for (auto& [id, a] : active_) {
+      const double up_share = link(a.src).uplink_bps / up_count[a.src];
+      const double down_share = link(a.dst).downlink_bps / down_count[a.dst];
+      a.rate = std::min(up_share, down_share);
+    }
+    schedule_next_completion();
+  }
+
+  void schedule_next_completion() {
+    engine_.cancel(next_completion_);
+    next_completion_ = sim::EventHandle{};
+    due_.clear();
+    if (active_.empty()) return;
+    Duration soonest = kNever;
+    for (const auto& [id, a] : active_) {
+      if (a.rate <= 0) continue;
+      const Duration eta = a.remaining / a.rate;
+      if (eta < soonest) soonest = eta;
+    }
+    if (soonest == kNever) return;
+    const Duration window = soonest + 1e-9 * (1.0 + soonest);
+    for (const auto& [id, a] : active_) {
+      if (a.rate > 0 && a.remaining / a.rate <= window) due_.push_back(id);
+    }
+    next_completion_ = engine_.schedule_in(
+        soonest, "gridftp:complete", [this] {
+          advance_to_now();
+          for (const TransferId id : due_) {
+            const auto it = active_.find(id);
+            if (it != active_.end()) it->second.remaining = 0.0;
+          }
+          std::vector<std::pair<TransferId, Active>> finished;
+          for (auto it = active_.begin(); it != active_.end();) {
+            if (it->second.remaining <= 1e-6) {
+              finished.emplace_back(it->first, std::move(it->second));
+              it = active_.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          rebalance();
+          for (auto& [id, a] : finished) {
+            ++stats_.completed;
+            a.done(id, engine_.now() - a.started_at);
+          }
+        });
+  }
+
+  sim::Engine& engine_;
+  std::unordered_map<SiteId, LinkConfig> links_;
+  std::map<TransferId, Active> active_;
+  std::map<TransferId, sim::EventHandle> local_;
+  IdGenerator<TransferId> ids_;
+  SimTime last_update_ = 0.0;
+  sim::EventHandle next_completion_;
+  std::vector<TransferId> due_;
+  TransferStats stats_;
+};
+
+/// One scripted call, fired at `at` as its own engine event.
+struct TransferOp {
+  enum class Kind { kTransfer, kCancel, kSetLink } kind = Kind::kTransfer;
+  SimTime at = 0.0;
+  SiteId src;
+  SiteId dst;
+  double bytes = 0.0;
+  std::uint64_t target = 0;  ///< kCancel: raw id; 0 = the latest issued
+  LinkConfig link;           ///< kSetLink: new capacities for `src`
+};
+
+struct TransferScript {
+  std::vector<std::pair<SiteId, LinkConfig>> links;
+  std::vector<TransferOp> ops;
+};
+
+/// A seeded random mix over 1..20 sites: a burst that holds up to
+/// `flows` transfers at once, then trickled arrivals, with same-site and
+/// zero-byte transfers, repeated sizes (tied completions), cancels of
+/// live, finished and unknown ids, and links set mid-run.  Sites left
+/// out of `links` run on the default LinkConfig.
+TransferScript random_script(std::uint64_t seed, int flows) {
+  Rng rng(seed);
+  TransferScript script;
+  const std::int64_t sites = rng.uniform_int(1, 20);
+  const auto site_id = [](std::int64_t s) {
+    return SiteId(static_cast<std::uint64_t>(s));
+  };
+  const auto site = [&] { return site_id(rng.uniform_int(1, sites)); };
+  const auto capacity = [&] {
+    return LinkConfig{rng.uniform(1e6, 4e7), rng.uniform(1e6, 4e7)};
+  };
+  for (std::int64_t s = 1; s <= sites; ++s) {
+    if (rng.chance(0.7)) script.links.emplace_back(site_id(s), capacity());
+  }
+  const double tied[] = {0.0, 1e6, 5e7, 1.5e8};
+  const int total = flows + flows / 2;
+  for (int i = 0; i < total; ++i) {
+    TransferOp op;
+    // The burst lands on a few shared instants; the rest trickles in.
+    op.at = i < flows ? static_cast<double>(rng.uniform_int(0, 4))
+                      : rng.uniform(0.0, 2000.0);
+    const double roll = rng.uniform();
+    if (roll < 0.12) {
+      op.kind = TransferOp::Kind::kCancel;
+      op.target = rng.chance(0.3)
+                      ? 0
+                      : static_cast<std::uint64_t>(
+                            rng.uniform_int(1, 2 * total + 10));
+    } else if (roll < 0.14) {
+      op.kind = TransferOp::Kind::kSetLink;
+      op.src = site();
+      op.link = capacity();
+    } else {
+      op.src = site();
+      op.dst = rng.chance(0.1) ? op.src : site();
+      op.bytes = rng.chance(0.4)
+                     ? tied[rng.uniform_int(0, 3)]
+                     : rng.uniform(1e5, 3e8);
+    }
+    script.ops.push_back(op);
+  }
+  return script;
+}
+
+/// Everything observable about a run, as bit patterns.
+struct TransferTrace {
+  std::vector<std::uint64_t> calls;  ///< (id, duration, now) per callback
+  std::vector<std::uint64_t> stats;  ///< stats() after every scripted op
+  std::vector<std::uint64_t> end;  ///< final stats, active(), events, clock
+};
+
+void push_stats(std::vector<std::uint64_t>& out, const TransferStats& s) {
+  out.insert(out.end(), {s.started, s.completed, s.cancelled,
+                         std::bit_cast<std::uint64_t>(s.bytes_moved)});
+}
+
+/// Plays `script` on a fresh engine.  Callbacks re-enter the model the
+/// way CondorG's stage-in chain does: some start a follow-on transfer,
+/// some cancel the next id (which may have finished in the same batch).
+template <typename Model>
+TransferTrace play(const TransferScript& script) {
+  sim::Engine engine;
+  Model model(engine);
+  for (const auto& [site, link] : script.links) model.set_link(site, link);
+  TransferTrace trace;
+  std::uint64_t latest = 0;
+  std::function<void(TransferId, Duration)> on_done =
+      [&](TransferId id, Duration took) {
+        trace.calls.insert(trace.calls.end(),
+                           {id.value(), std::bit_cast<std::uint64_t>(took),
+                            std::bit_cast<std::uint64_t>(engine.now())});
+        if (id.value() % 5 == 0) {
+          latest = model
+                       .transfer(SiteId(1 + id.value() % 3),
+                                 SiteId(2 + id.value() % 4),
+                                 1e6 * static_cast<double>(id.value() % 50),
+                                 on_done)
+                       .value();
+        } else if (id.value() % 7 == 3) {
+          model.cancel(TransferId(id.value() + 1));
+        }
+      };
+  for (const TransferOp& op : script.ops) {
+    engine.schedule_at(op.at, "op", [&, op] {
+      switch (op.kind) {
+        case TransferOp::Kind::kTransfer:
+          latest = model.transfer(op.src, op.dst, op.bytes, on_done).value();
+          break;
+        case TransferOp::Kind::kCancel:
+          model.cancel(TransferId(op.target == 0 ? latest : op.target));
+          break;
+        case TransferOp::Kind::kSetLink:
+          model.set_link(op.src, op.link);
+          break;
+      }
+      push_stats(trace.stats, model.stats());
+    });
+  }
+  // A bounded run: a model stuck in a zero-progress reschedule loop shows
+  // up as a mismatch instead of a hang.
+  const std::size_t budget = 50 * script.ops.size() + 1000;
+  while (engine.events_fired() < budget && engine.step()) {
+  }
+  push_stats(trace.end, model.stats());
+  trace.end.insert(trace.end.end(),
+                   {model.active(), engine.events_fired(),
+                    std::bit_cast<std::uint64_t>(engine.now())});
+  return trace;
+}
+
+TEST(TransferDifferential, DenseModelMatchesMapModelBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const int flows = seed == 1 ? 2000 : static_cast<int>(20 + 40 * seed);
+    const TransferScript script = random_script(seed, flows);
+    const TransferTrace expected = play<MapTransferModel>(script);
+    const TransferTrace actual = play<TransferService>(script);
+    ASSERT_GT(expected.calls.size(), 0u);
+    EXPECT_EQ(actual.calls, expected.calls) << "seed " << seed;
+    EXPECT_EQ(actual.stats, expected.stats) << "seed " << seed;
+    EXPECT_EQ(actual.end, expected.end) << "seed " << seed;
+  }
 }
 
 TEST(ReplicaSelection, PrefersLocalThenFastest) {

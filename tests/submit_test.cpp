@@ -172,6 +172,26 @@ TEST_F(GatewayFixture, CancelDuringStagingKillsTransfers) {
   EXPECT_FALSE(rls.exists("lfn://out-1"));
 }
 
+TEST_F(GatewayFixture, CancelDuringLocalStageInEndsTheChain) {
+  // The first input is already on the execution site, so it is a local
+  // transfer that completes on the next event.  Cancelling the job before
+  // that event fires must end the stage-in chain: the second (WAN) input
+  // must never start for a removed job.
+  SubmitRequest request = basic_request(JobId(1));
+  request.inputs.front().source = exec_site;
+  ASSERT_TRUE(gateway.submit(request, nullptr));
+  while (transfers.stats().started == 0 && engine.step()) {
+  }
+  ASSERT_EQ(transfers.stats().started, 1u);
+  EXPECT_TRUE(gateway.cancel(JobId(1)));
+  engine.run_until();
+  EXPECT_EQ(gateway.state_of(JobId(1)), GatewayJobState::kRemoved);
+  EXPECT_EQ(transfers.stats().started, 1u);
+  EXPECT_EQ(transfers.stats().completed, 0u);
+  EXPECT_EQ(transfers.stats().cancelled, 1u);
+  EXPECT_EQ(transfers.active(), 0u);
+}
+
 TEST_F(GatewayFixture, CancelUnknownOrTerminalFails) {
   EXPECT_FALSE(gateway.cancel(JobId(5)));
   ASSERT_TRUE(gateway.submit(basic_request(JobId(1)), nullptr));

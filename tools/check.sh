@@ -36,6 +36,24 @@ diff docs/rng_streams.md build/relwithdebinfo/rng_streams.md || {
 }
 echo "rng registry: docs/rng_streams.md in sync"
 
+echo "== paper-figure golden gate =="
+# The fixed point of the reproduction: fig2-fig8 stdout at the committed
+# seed must match bench/golden/ byte-for-byte.  A change that moves a
+# figure updates its golden file and says why in its change notes.
+golden_dir=build/relwithdebinfo/golden
+rm -rf "$golden_dir"
+mkdir -p "$golden_dir"
+for fig in fig2_feedback fig3_algorithms_30 fig4_algorithms_60 \
+           fig5_algorithms_120 fig6_site_distribution fig7_policy \
+           fig8_timeouts; do
+  ./build/relwithdebinfo/bench/"$fig" > "$golden_dir/$fig.txt"
+  diff "bench/golden/$fig.txt" "$golden_dir/$fig.txt" || {
+    echo "figure drift: $fig differs from bench/golden/$fig.txt" >&2
+    exit 1
+  }
+done
+echo "golden gate: fig2-fig8 stdout byte-identical"
+
 echo "== flight-recorder determinism gate =="
 # Two same-seed failure-enabled runs must emit byte-identical trace and
 # metrics files; any nondeterminism in the pipeline shows up as a diff.
@@ -144,6 +162,16 @@ echo "== sweep-cost benchmark =="
 ./build/relwithdebinfo/bench/micro_scheduler \
   --benchmark_filter=BM_SweepCost \
   --benchmark_out=BENCH_sweep.json --benchmark_out_format=json
+
+echo "== transfer benchmark =="
+# The GridFTP fluid model under arrival churn (BM_GridFtpChurn, a few
+# flows live) and with 1,000/10,000 flows live at once
+# (BM_GridFtpConcurrent), in BENCH_transfer.json.  Timings are
+# informational; the model's outputs are gated by the tier-1 differential
+# test TransferDifferential.DenseModelMatchesMapModelBitForBit.
+./build/relwithdebinfo/bench/micro_substrates \
+  --benchmark_filter=BM_GridFtp \
+  --benchmark_out=BENCH_transfer.json --benchmark_out_format=json
 
 echo "== recovery benchmark =="
 # Checkpoint + suffix recovery vs full-history replay at 1k/10k/100k
