@@ -1,7 +1,8 @@
 /// Microbenchmarks for the data substrates the planner leans on: RLS
 /// lookups (single vs clubbed), replica selection, the GridFTP fluid
 /// model (arrival churn and 1k/10k concurrent flows), and XML-RPC wire
-/// costs.
+/// costs (round trips with the payload codecs, and serialize()/parse()
+/// alone for a report, a plan and a DAG).
 
 #include <benchmark/benchmark.h>
 
@@ -118,12 +119,61 @@ BENCHMARK(BM_GridFtpConcurrent)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
+workflow::Dag wire_dag() {
   workflow::IdSpace ids;
   data::ReplicaLocationService rls;
   workflow::WorkloadGenerator generator(workflow::WorkloadConfig{}, Rng(1),
                                         ids, rls, {SiteId(1), SiteId(2)});
-  const workflow::Dag dag = generator.generate("wire");
+  return generator.generate("wire");
+}
+
+core::TrackerReport wire_report() {
+  core::TrackerReport report;
+  report.job = JobId(42);
+  report.kind = core::ReportKind::kCompleted;
+  report.site = SiteId(3);
+  report.completion_time = 321.5;
+  return report;
+}
+
+/// A plan the shape the planner emits: three staged inputs, persisted
+/// output, a priority nudge.
+core::ExecutionPlan wire_plan() {
+  core::ExecutionPlan plan;
+  plan.job = JobId(4242);
+  plan.dag = DagId(17);
+  plan.job_name = "wire-job-7";
+  plan.site = SiteId(5);
+  plan.compute_time = 60.0;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    plan.inputs.push_back({"lfn://wire/input-" + std::to_string(i),
+                           SiteId(1 + i),
+                           6.4e7 + 1.1e6 * static_cast<double>(i)});
+  }
+  plan.output = "lfn://wire/output-7";
+  plan.output_bytes = 3.3e7;
+  plan.attempt = 2;
+  plan.persist_output = true;
+  plan.persistent_site = SiteId(1);
+  plan.batch_priority = 0.15;
+  return plan;
+}
+
+/// The three messages the client and server exchange most, by payload:
+/// 0 = sphinx.report, 1 = execute_plan, 2 = sphinx.submit_dag.
+rpc::MethodCall wire_call(std::int64_t kind) {
+  switch (kind) {
+    case 0: return {"sphinx.report", {core::encode_report(wire_report())}};
+    case 1: return {"execute_plan", {core::encode_plan(wire_plan())}};
+    default:
+      return {"sphinx.submit_dag",
+              {rpc::XrValue("client"), rpc::XrValue(1),
+               core::encode_dag(wire_dag())}};
+  }
+}
+
+void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
+  const workflow::Dag dag = wire_dag();
   for (auto _ : state) {
     rpc::MethodCall call;
     call.method = "sphinx.submit_dag";
@@ -137,11 +187,7 @@ void BM_XmlRpcDagRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_XmlRpcDagRoundTrip);
 
 void BM_XmlRpcReportRoundTrip(benchmark::State& state) {
-  core::TrackerReport report;
-  report.job = JobId(42);
-  report.kind = core::ReportKind::kCompleted;
-  report.site = SiteId(3);
-  report.completion_time = 321.5;
+  const core::TrackerReport report = wire_report();
   for (auto _ : state) {
     rpc::MethodCall call;
     call.method = "sphinx.report";
@@ -151,5 +197,41 @@ void BM_XmlRpcReportRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XmlRpcReportRoundTrip);
+
+void BM_XmlRpcPlanRoundTrip(benchmark::State& state) {
+  const core::ExecutionPlan plan = wire_plan();
+  for (auto _ : state) {
+    rpc::MethodCall call;
+    call.method = "execute_plan";
+    call.params = {core::encode_plan(plan)};
+    const auto parsed = rpc::MethodCall::parse(call.serialize());
+    benchmark::DoNotOptimize(core::decode_plan(parsed->params[0]));
+  }
+}
+BENCHMARK(BM_XmlRpcPlanRoundTrip);
+
+/// serialize() alone; the arg picks the payload (see wire_call).
+void BM_XmlRpcWrite(benchmark::State& state) {
+  const rpc::MethodCall call = wire_call(state.range(0));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string wire = call.serialize();
+    bytes += wire.size();
+    benchmark::DoNotOptimize(wire.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_XmlRpcWrite)->ArgName("payload")->DenseRange(0, 2);
+
+/// MethodCall::parse() alone; the arg picks the payload (see wire_call).
+void BM_XmlRpcParse(benchmark::State& state) {
+  const std::string wire = wire_call(state.range(0)).serialize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rpc::MethodCall::parse(wire));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_XmlRpcParse)->ArgName("payload")->DenseRange(0, 2);
 
 }  // namespace

@@ -204,7 +204,9 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
         static_cast<std::uint64_t>(value.at("persistent_site").as_int()));
   }
   if (value.has("batch_priority")) {
-    plan.batch_priority = value.at("batch_priority").as_double();
+    auto priority = need_double(value, "batch_priority");
+    if (!priority) return Unexpected<Error>{priority.error()};
+    plan.batch_priority = *priority;
   }
   if (value.has("speculative") && value.at("speculative").is_bool()) {
     plan.speculative = value.at("speculative").as_bool();

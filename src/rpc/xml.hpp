@@ -2,10 +2,11 @@
 /// \file xml.hpp
 /// Minimal XML document model, writer and parser.
 ///
-/// SPHINX communicates over "communication protocols on XML such as SOAP
-/// and XML-RPC" (paper section 3.1).  This layer provides exactly the XML
-/// subset XML-RPC envelopes need: elements, attributes, character data and
-/// the five predefined entities.  It is not a general XML processor.
+/// The XML subset SPHINX's files and messages use: elements, attributes,
+/// character data and the five predefined entities.  It is not a general
+/// XML processor.  DAX workflow files (workflow/dax) are read and written
+/// through this tree; XML-RPC envelopes are not -- rpc/xmlrpc.hpp has its
+/// own single-pass codec over the same subset.
 
 #include <map>
 #include <memory>

@@ -6,15 +6,23 @@
 /// (paper Figure 1).  This implements the XML-RPC value system (int,
 /// double, boolean, string, array, struct), <methodCall> and
 /// <methodResponse> envelopes including <fault>.
+///
+/// The codec is single-pass: serialize() appends straight into one
+/// string and parse() walks the payload once with a cursor, building
+/// XrValue directly.  No XML document tree is built on the wire path.
+/// The parser accepts the XML subset of rpc/xml.hpp (attributes,
+/// the five predefined entities, an optional <?xml?> declaration) and
+/// ignores elements XML-RPC does not define; numeric scalars must be
+/// the whole element text.
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
-#include "rpc/xml.hpp"
 
 namespace sphinx::rpc {
 
@@ -55,10 +63,10 @@ class XrValue {
   /// True if this is a struct containing `key`.
   [[nodiscard]] bool has(const std::string& key) const noexcept;
 
-  /// Encodes as a <value> element.
-  [[nodiscard]] XmlNode to_xml() const;
-  /// Decodes from a <value> element.
-  [[nodiscard]] static Expected<XrValue> from_xml(const XmlNode& value_node);
+  /// Appends this value as a compact <value> element to `out`.
+  void write(std::string& out) const;
+  /// Decodes an XML document whose root element is a <value>.
+  [[nodiscard]] static Expected<XrValue> parse(std::string_view xml);
 
   friend bool operator==(const XrValue& a, const XrValue& b) noexcept {
     return a.data_ == b.data_;
@@ -74,7 +82,7 @@ struct MethodCall {
   std::vector<XrValue> params;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Expected<MethodCall> parse(const std::string& xml);
+  [[nodiscard]] static Expected<MethodCall> parse(std::string_view xml);
 };
 
 /// XML-RPC fault payload.
@@ -103,7 +111,7 @@ struct MethodResponse {
   }
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Expected<MethodResponse> parse(const std::string& xml);
+  [[nodiscard]] static Expected<MethodResponse> parse(std::string_view xml);
 };
 
 }  // namespace sphinx::rpc

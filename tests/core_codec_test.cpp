@@ -134,6 +134,26 @@ TEST(PlanCodec, RejectsMissingMembers) {
   EXPECT_FALSE(decode_plan(rpc::XrValue(std::move(s))).has_value());
 }
 
+TEST(PlanCodec, RejectsNonNumericBatchPriority) {
+  ExecutionPlan plan;
+  plan.job = JobId(1);
+  plan.dag = DagId(1);
+  plan.job_name = "x";
+  plan.site = SiteId(1);
+  plan.batch_priority = 0.25;
+  rpc::XrValue::Struct fields = encode_plan(plan).as_struct();
+  ASSERT_TRUE(decode_plan(rpc::XrValue(fields)).has_value());
+  // An int still reads as a number; a string is a codec error, not a throw.
+  fields.at("batch_priority") = rpc::XrValue(1);
+  const auto widened = decode_plan(rpc::XrValue(fields));
+  ASSERT_TRUE(widened.has_value());
+  EXPECT_DOUBLE_EQ(widened->batch_priority, 1.0);
+  fields.at("batch_priority") = rpc::XrValue("high");
+  const auto decoded = decode_plan(through_wire(rpc::XrValue(fields)));
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.error().code, "codec");
+}
+
 TEST(ReportCodec, RoundTripEachKind) {
   for (const ReportKind kind :
        {ReportKind::kSubmitted, ReportKind::kRunning, ReportKind::kCompleted,

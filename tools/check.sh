@@ -173,6 +173,17 @@ echo "== transfer benchmark =="
   --benchmark_filter=BM_GridFtp \
   --benchmark_out=BENCH_transfer.json --benchmark_out_format=json
 
+echo "== rpc codec benchmark =="
+# The XML-RPC codec on a report, a plan and a DAG payload: round trips
+# through the payload codecs (BM_XmlRpc*RoundTrip) and serialize() /
+# parse() alone (BM_XmlRpcWrite, BM_XmlRpcParse), in BENCH_codec.json.
+# Timings are informational; the codec's bytes and accepted set are gated
+# by the tier-1 differential test
+# XmlRpcDifferential.SinglePassCodecMatchesDomCodec.
+./build/relwithdebinfo/bench/micro_substrates \
+  --benchmark_filter=BM_XmlRpc \
+  --benchmark_out=BENCH_codec.json --benchmark_out_format=json
+
 echo "== recovery benchmark =="
 # Checkpoint + suffix recovery vs full-history replay at 1k/10k/100k
 # journal records.  The checkpointed path should win by well over an
