@@ -10,13 +10,19 @@
 /// record count.  The reported counters also pin the footprint story:
 /// journal_bytes keeps growing without checkpointing while the
 /// checkpointed run retains only the post-checkpoint suffix.
+///
+/// BM_CheckpointPublish and BM_SnapshotRestore time the two halves of an
+/// image on their own: taking one (incremental, so priced by the rows
+/// changed since the last) and restoring one.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/warehouse.hpp"
+#include "db/database.hpp"
 
 namespace {
 
@@ -80,16 +86,58 @@ void BM_RecoverCheckpointed(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoverCheckpointed)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// A warehouse holding `rows` site_stats rows, checkpointed once.
+std::unique_ptr<core::DataWarehouse> build_sites(int rows) {
+  auto warehouse = std::make_unique<core::DataWarehouse>();
+  for (int site = 1; site <= rows; ++site) {
+    warehouse->record_completion(SiteId(static_cast<std::uint64_t>(site)),
+                                 300.0);
+  }
+  warehouse->checkpoint(0.0);
+  return warehouse;
+}
+
 /// The checkpoint operation itself (snapshot + truncate), so the
 /// recovery win above can be weighed against its steady-state cost.
+/// Args: rows, rows updated between two images (untimed).  /N/0 is the
+/// incremental image's best case (every row copied), /N/N its worst
+/// (every row re-encoded).
 void BM_CheckpointPublish(benchmark::State& state) {
-  const auto warehouse = build_warehouse(2048, 0);
+  const auto rows = static_cast<int>(state.range(0));
+  const auto updated = static_cast<int>(state.range(1));
+  const auto warehouse = build_sites(rows);
   double now = 0.0;
+  int next = 0;
   for (auto _ : state) {
+    state.PauseTiming();
+    for (int i = 0; i < updated; ++i) {
+      warehouse->record_completion(
+          SiteId(static_cast<std::uint64_t>(1 + next)), 300.0 + i);
+      next = (next + 1) % rows;
+    }
+    state.ResumeTiming();
     now += 1.0;
     benchmark::DoNotOptimize(warehouse->checkpoint(now).snapshot_bytes);
   }
+  state.counters["snapshot_bytes"] =
+      static_cast<double>(warehouse->checkpoint_image()->database.size());
 }
-BENCHMARK(BM_CheckpointPublish);
+BENCHMARK(BM_CheckpointPublish)
+    ->Args({2048, 0})
+    ->Args({2048, 200})
+    ->Args({2048, 2048});
+
+/// Restoring a database from an image of `rows` site_stats rows: the
+/// parse half of checkpointed recovery, without the journal suffix.
+void BM_SnapshotRestore(benchmark::State& state) {
+  const auto warehouse = build_sites(static_cast<int>(state.range(0)));
+  const std::string& image = warehouse->checkpoint_image()->database;
+  for (auto _ : state) {
+    db::Database restored;
+    benchmark::DoNotOptimize(restored.restore(image).ok());
+  }
+  state.counters["snapshot_bytes"] = static_cast<double>(image.size());
+}
+BENCHMARK(BM_SnapshotRestore)->Arg(2048);
 
 }  // namespace

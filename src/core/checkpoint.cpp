@@ -1,8 +1,5 @@
 #include "core/checkpoint.hpp"
 
-#include <sstream>
-
-#include "common/strings.hpp"
 #include "db/encoding.hpp"
 
 namespace sphinx::core {
@@ -12,13 +9,13 @@ std::string CheckpointImage::serialize() const {
   // sim time reuses the journal's real encoding so the bit pattern
   // round-trips.
   std::string out = "#ckpt\t1\t";
-  out += std::to_string(seq);
+  db::append_uint(out, seq);
   out += '\t';
-  out += db::encode_value(db::Value(at));
+  db::append_value(out, db::Value(at));
   out += "\nD";
   for (const db::RowId row : dirty_rows) {
     out += '\t';
-    out += std::to_string(row);
+    db::append_uint(out, row);
   }
   out += '\n';
   out += database;
@@ -29,39 +26,42 @@ Expected<CheckpointImage> CheckpointImage::parse(const std::string& text) {
   const auto fail = [](const std::string& what) {
     return Unexpected<Error>{Error{"checkpoint_parse", what}};
   };
-  std::istringstream in(text);
+  if (text.empty()) return fail("empty checkpoint");
+  std::string_view rest = text;
   CheckpointImage image;
-  std::string line;
-  if (!std::getline(in, line)) return fail("empty checkpoint");
-  const std::vector<std::string> header = split(line, '\t');
-  if (header.size() != 4 || header[0] != "#ckpt" || header[1] != "1") {
-    return fail("bad checkpoint header: " + line);
+  const std::string_view header_line = db::next_line(rest);
+  db::Fields header(header_line);
+  if (header.next() != "#ckpt" || header.next() != "1" || header.done()) {
+    return fail("bad checkpoint header: " + std::string(header_line));
   }
-  try {
-    image.seq = std::stoull(header[2]);
-  } catch (const std::exception&) {
-    return fail("bad checkpoint seq: " + header[2]);
+  const std::string_view seq_text = header.next();
+  auto seq = db::parse_uint(seq_text);
+  if (!seq) return fail("bad checkpoint seq: " + std::string(seq_text));
+  image.seq = *seq;
+  if (header.done()) {
+    return fail("bad checkpoint header: " + std::string(header_line));
   }
-  auto at = db::decode_value(header[3]);
+  auto at = db::parse_value(header.next());
   if (!at) return Unexpected<Error>{at.error()};
-  image.at = at->as_real();
-  if (!std::getline(in, line)) return fail("missing dirty-queue line");
-  const std::vector<std::string> dirty = split(line, '\t');
-  if (dirty.empty() || dirty[0] != "D") {
-    return fail("bad dirty-queue line: " + line);
+  if (at->type() != db::ValueType::kReal || !header.done()) {
+    return fail("bad checkpoint header: " + std::string(header_line));
   }
-  for (std::size_t i = 1; i < dirty.size(); ++i) {
-    try {
-      image.dirty_rows.push_back(std::stoull(dirty[i]));
-    } catch (const std::exception&) {
-      return fail("bad dirty row id: " + dirty[i]);
-    }
+  image.at = at->as_real();
+
+  if (rest.empty()) return fail("missing dirty-queue line");
+  const std::string_view dirty_line = db::next_line(rest);
+  db::Fields dirty(dirty_line);
+  if (dirty.next() != "D") {
+    return fail("bad dirty-queue line: " + std::string(dirty_line));
+  }
+  while (!dirty.done()) {
+    const std::string_view row_text = dirty.next();
+    auto row = db::parse_uint(row_text);
+    if (!row) return fail("bad dirty row id: " + std::string(row_text));
+    image.dirty_rows.push_back(*row);
   }
   // The rest is the database snapshot, byte-for-byte.
-  const std::string::size_type second_newline =
-      text.find('\n', text.find('\n') + 1);
-  image.database =
-      second_newline == std::string::npos ? "" : text.substr(second_newline + 1);
+  image.database = std::string(rest);
   return image;
 }
 

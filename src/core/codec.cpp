@@ -26,26 +26,40 @@ Expected<ReportKind> report_kind_from(const std::string& text) {
   return make_error("codec", "unknown report kind: " + text);
 }
 
-/// Guarded struct-member access helpers.
+/// Guarded struct-member access helpers: one map probe per member.
 Expected<std::int64_t> need_int(const XrValue& s, const std::string& key) {
-  if (!s.has(key) || !s.at(key).is_int()) {
+  const XrValue* v = s.find(key);
+  if (v == nullptr || !v->is_int()) {
     return make_error("codec", "missing int member: " + key);
   }
-  return s.at(key).as_int();
+  return v->as_int();
+}
+
+/// `v` (the member `key`, or nullptr when absent) as a double.
+Expected<double> double_member(const XrValue* v, const std::string& key) {
+  if (v == nullptr || (!v->is_double() && !v->is_int())) {
+    return make_error("codec", "missing double member: " + key);
+  }
+  return v->as_double();
 }
 
 Expected<double> need_double(const XrValue& s, const std::string& key) {
-  if (!s.has(key) || (!s.at(key).is_double() && !s.at(key).is_int())) {
-    return make_error("codec", "missing double member: " + key);
-  }
-  return s.at(key).as_double();
+  return double_member(s.find(key), key);
 }
 
 Expected<std::string> need_string(const XrValue& s, const std::string& key) {
-  if (!s.has(key) || !s.at(key).is_string()) {
+  const XrValue* v = s.find(key);
+  if (v == nullptr || !v->is_string()) {
     return make_error("codec", "missing string member: " + key);
   }
-  return s.at(key).as_string();
+  return v->as_string();
+}
+
+/// Member `key` when present with a value of the type `is` tests for.
+const XrValue* find_typed(const XrValue& s, const std::string& key,
+                          bool (XrValue::*is)() const noexcept) {
+  const XrValue* v = s.find(key);
+  return v != nullptr && (v->*is)() ? v : nullptr;
 }
 
 }  // namespace
@@ -83,14 +97,13 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
   if (!dag_id) return Unexpected<Error>{dag_id.error()};
   auto name = need_string(value, "name");
   if (!name) return Unexpected<Error>{name.error()};
-  if (!value.has("jobs") || !value.at("jobs").is_array()) {
-    return make_error("codec", "dag without jobs array");
-  }
+  const XrValue* jobs = find_typed(value, "jobs", &XrValue::is_array);
+  if (jobs == nullptr) return make_error("codec", "dag without jobs array");
 
   workflow::Dag dag(DagId(static_cast<std::uint64_t>(*dag_id)), *name);
   // First pass: jobs.  Second pass: edges (parents must exist first).
   std::vector<std::pair<JobId, std::vector<JobId>>> edges;
-  for (const XrValue& jv : value.at("jobs").as_array()) {
+  for (const XrValue& jv : jobs->as_array()) {
     if (!jv.is_struct()) return make_error("codec", "job is not a struct");
     auto job_id = need_int(jv, "job_id");
     if (!job_id) return Unexpected<Error>{job_id.error()};
@@ -102,8 +115,9 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
     if (!output) return Unexpected<Error>{output.error()};
     auto output_bytes = need_double(jv, "output_bytes");
     if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
-    if (!jv.has("inputs") || !jv.at("inputs").is_array() ||
-        !jv.has("parents") || !jv.at("parents").is_array()) {
+    const XrValue* inputs = find_typed(jv, "inputs", &XrValue::is_array);
+    const XrValue* parent_ids = find_typed(jv, "parents", &XrValue::is_array);
+    if (inputs == nullptr || parent_ids == nullptr) {
       return make_error("codec", "job missing inputs/parents");
     }
 
@@ -113,12 +127,12 @@ Expected<workflow::Dag> decode_dag(const XrValue& value) {
     spec.compute_time = *compute;
     spec.output = *output;
     spec.output_bytes = *output_bytes;
-    for (const XrValue& in : jv.at("inputs").as_array()) {
+    for (const XrValue& in : inputs->as_array()) {
       if (!in.is_string()) return make_error("codec", "input is not a string");
       spec.inputs.push_back(in.as_string());
     }
     std::vector<JobId> parents;
-    for (const XrValue& p : jv.at("parents").as_array()) {
+    for (const XrValue& p : parent_ids->as_array()) {
       if (!p.is_int()) return make_error("codec", "parent is not an int");
       parents.emplace_back(static_cast<std::uint64_t>(p.as_int()));
     }
@@ -185,9 +199,8 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   if (!output_bytes) return Unexpected<Error>{output_bytes.error()};
   auto attempt = need_int(value, "attempt");
   if (!attempt) return Unexpected<Error>{attempt.error()};
-  if (!value.has("inputs") || !value.at("inputs").is_array()) {
-    return make_error("codec", "plan without inputs");
-  }
+  const XrValue* inputs = find_typed(value, "inputs", &XrValue::is_array);
+  if (inputs == nullptr) return make_error("codec", "plan without inputs");
   plan.job = JobId(static_cast<std::uint64_t>(*job));
   plan.dag = DagId(static_cast<std::uint64_t>(*dag));
   plan.job_name = *name;
@@ -196,22 +209,23 @@ Expected<ExecutionPlan> decode_plan(const XrValue& value) {
   plan.output = *output;
   plan.output_bytes = *output_bytes;
   plan.attempt = static_cast<int>(*attempt);
-  if (value.has("persist_output") && value.at("persist_output").is_bool()) {
-    plan.persist_output = value.at("persist_output").as_bool();
+  if (const XrValue* v =
+          find_typed(value, "persist_output", &XrValue::is_bool)) {
+    plan.persist_output = v->as_bool();
   }
-  if (value.has("persistent_site") && value.at("persistent_site").is_int()) {
-    plan.persistent_site = SiteId(
-        static_cast<std::uint64_t>(value.at("persistent_site").as_int()));
+  if (const XrValue* v =
+          find_typed(value, "persistent_site", &XrValue::is_int)) {
+    plan.persistent_site = SiteId(static_cast<std::uint64_t>(v->as_int()));
   }
-  if (value.has("batch_priority")) {
-    auto priority = need_double(value, "batch_priority");
+  if (const XrValue* v = value.find("batch_priority")) {
+    auto priority = double_member(v, "batch_priority");
     if (!priority) return Unexpected<Error>{priority.error()};
     plan.batch_priority = *priority;
   }
-  if (value.has("speculative") && value.at("speculative").is_bool()) {
-    plan.speculative = value.at("speculative").as_bool();
+  if (const XrValue* v = find_typed(value, "speculative", &XrValue::is_bool)) {
+    plan.speculative = v->as_bool();
   }
-  for (const XrValue& iv : value.at("inputs").as_array()) {
+  for (const XrValue& iv : inputs->as_array()) {
     auto lfn = need_string(iv, "lfn");
     if (!lfn) return Unexpected<Error>{lfn.error()};
     auto source = need_int(iv, "source");
@@ -263,8 +277,8 @@ Expected<TrackerReport> decode_report(const XrValue& value) {
   report.completion_time = *completion;
   report.execution_time = *execution;
   report.idle_time = *idle;
-  if (value.has("attempt") && value.at("attempt").is_int()) {
-    report.attempt = static_cast<int>(value.at("attempt").as_int());
+  if (const XrValue* v = find_typed(value, "attempt", &XrValue::is_int)) {
+    report.attempt = static_cast<int>(v->as_int());
   }
   return report;
 }

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -55,12 +56,23 @@ class Database : private TableObserver {
   /// store's logical state -- equal tables yield identical bytes no
   /// matter what mutation history produced them.  Round-trips through
   /// restore() using the journal's line-oriented text building blocks.
-  [[nodiscard]] std::string snapshot() const;
+  ///
+  /// Incremental: the database keeps its last image and where each row
+  /// sits in it, and marks every row inserted, updated or erased since
+  /// (journaling on or off).  The next image copies the unchanged rows'
+  /// bytes in contiguous runs and encodes only the marked rows and the
+  /// table header lines, so it costs O(rows changed + image bytes).  The
+  /// first image, and the first one of a table created since, is the
+  /// same walk with every row marked.
+  [[nodiscard]] std::string snapshot();
 
   /// Rebuilds tables from a snapshot() image into this empty database.
   /// The snapshot is state, not history: nothing is journaled and the
   /// journal is left empty -- the caller pairs the image with the
-  /// journal suffix it wants replayed on top (see recover()).
+  /// journal suffix it wants replayed on top (see recover()).  A
+  /// malformed image (bad encoding, a row that does not fit its schema,
+  /// a bad or repeated row id, a cursor at or below a row id) returns a
+  /// restore_parse error; it never throws.
   [[nodiscard]] StatusOrError restore(const std::string& snapshot);
 
   /// Rebuilds database content by replaying the entries of `journal`
@@ -69,30 +81,61 @@ class Database : private TableObserver {
   /// post-checkpoint suffix onto tables a restore() just rebuilt.  On
   /// success the replayed suffix is adopted wholesale as this database's
   /// own journal -- byte-identical to the crashed journal's retained
-  /// entries -- so a recovered server remains recoverable.
+  /// entries -- so a recovered server remains recoverable.  An entry that
+  /// cannot apply (missing table or row, cells that do not fit the
+  /// schema, a bad or repeated row id) returns a recover_replay error.
   [[nodiscard]] StatusOrError recover(const Journal& journal,
                                       std::uint64_t from_seq = 0);
 
   /// Structural sweep across the store: every table passes its own
-  /// check_invariants(), the name map and creation order agree, and
-  /// every journal entry references a table that exists (tables are
-  /// never dropped, so this holds across truncation and recovery).
+  /// check_invariants(), the name map and creation order agree, the
+  /// image index stays id-ordered inside the last image, and every
+  /// journal entry references a table that exists (tables are never
+  /// dropped, so this holds across truncation and recovery).
   /// Throws ContractViolation on corruption; no-op when contracts are
   /// compiled out.
   void check_invariants() const;
 
  private:
   friend struct DatabaseInspector;  // test-only fault injection
+
+  /// Where one row's line sits in the last snapshot() image.
+  struct RowSpan {
+    RowId id = kInvalidRow;
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
+  /// One table's share of the last image: its rows' lines in id order,
+  /// and the rows mutated since (unsorted, possibly repeated).
+  struct TableImage {
+    bool imaged = false;  ///< false until an image included the table
+    std::vector<RowSpan> spans;
+    std::vector<RowId> stale;
+  };
+
+  [[nodiscard]] Table* find_table(const std::string& name) const noexcept;
+  /// Notes that row `id` of `table` no longer matches the last image.
+  void mark_stale(const std::string& table, RowId id);
+  /// Appends `table`'s row lines to `out`: unchanged rows copied from
+  /// `previous` (the last image), stale ones re-encoded.  Leaves `image`
+  /// describing the new lines.
+  static void append_rows(const Table& table, std::string_view previous,
+                          TableImage& image, std::string& out);
+
   void on_insert(const std::string& table, RowId id,
                  const std::vector<Value>& cells) override;
   void on_update(const std::string& table, RowId id, std::size_t column,
                  const Value& value) override;
   void on_erase(const std::string& table, RowId id) override;
 
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
-  std::vector<std::string> creation_order_;
+  std::vector<std::unique_ptr<Table>> tables_;  // creation order
+  std::unordered_map<std::string, std::size_t> slots_;  // name -> tables_ index
   Journal journal_;
   bool journaling_ = true;
+  /// The last snapshot() image and, per table in creation order, where
+  /// its rows sit in it.  Empty until the first snapshot().
+  std::string image_;  // sphinx-lint: derived(snapshot)
+  std::vector<TableImage> images_;  // sphinx-lint: derived(create_table, snapshot, mark_stale)
 };
 
 }  // namespace sphinx::db

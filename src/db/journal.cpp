@@ -1,9 +1,6 @@
 #include "db/journal.hpp"
 
-#include <sstream>
-
 #include "common/contracts.hpp"
-#include "common/strings.hpp"
 #include "db/encoding.hpp"
 
 namespace sphinx::db {
@@ -18,37 +15,21 @@ std::size_t digit_count(std::uint64_t v) noexcept {
   return n;
 }
 
-/// Byte length encode_value(v) would produce.  Numeric payloads are
-/// formatted to measure them (their width is format-defined); text is
-/// measured without building the escaped copy.
-std::size_t value_text_size(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull: return 2;
-    case ValueType::kText: return 2 + escaped_size(v.as_text());
-    case ValueType::kBool: return 3;
-    default: return encode_value(v).size();
-  }
-}
-
 /// Serialized line length of one entry, matching append_entry_text.
 std::size_t entry_text_size(const JournalEntry& e) {
   // Every op starts "X\t<table>" and ends "\n".
   std::size_t n = 1 + 1 + escaped_size(e.table) + 1;
   switch (e.op) {
     case JournalEntry::Op::kCreateTable:
-      for (const Column& col : e.schema) {
-        n += 1 + escaped_size(col.name) + 1 +
-             std::char_traits<char>::length(to_string(col.type)) +
-             (col.indexed ? 1 : 0);
-      }
+      for (const Column& col : e.schema) n += 1 + column_size(col);
       break;
     case JournalEntry::Op::kInsert:
       n += 1 + digit_count(e.row);
-      for (const Value& v : e.cells) n += 1 + value_text_size(v);
+      for (const Value& v : e.cells) n += 1 + value_size(v);
       break;
     case JournalEntry::Op::kUpdate:
       n += 1 + digit_count(e.row) + 1 + digit_count(e.column) + 1 +
-           value_text_size(e.cells.at(0));
+           value_size(e.cells.at(0));
       break;
     case JournalEntry::Op::kErase:
       n += 1 + digit_count(e.row);
@@ -59,48 +40,40 @@ std::size_t entry_text_size(const JournalEntry& e) {
 
 void append_entry_text(const JournalEntry& e, std::string& out) {
   switch (e.op) {
-    case JournalEntry::Op::kCreateTable: {
-      out += 'C';
-      out += '\t';
-      out += escape_field(e.table);
+    case JournalEntry::Op::kCreateTable:
+      out += "C\t";
+      append_escaped(out, e.table);
       for (const Column& col : e.schema) {
         out += '\t';
-        out += encode_column(col);
+        append_column(out, col);
       }
       break;
-    }
-    case JournalEntry::Op::kInsert: {
-      out += 'I';
+    case JournalEntry::Op::kInsert:
+      out += "I\t";
+      append_escaped(out, e.table);
       out += '\t';
-      out += escape_field(e.table);
-      out += '\t';
-      out += std::to_string(e.row);
+      append_uint(out, e.row);
       for (const Value& v : e.cells) {
         out += '\t';
-        out += encode_value(v);
+        append_value(out, v);
       }
       break;
-    }
-    case JournalEntry::Op::kUpdate: {
-      out += 'U';
+    case JournalEntry::Op::kUpdate:
+      out += "U\t";
+      append_escaped(out, e.table);
       out += '\t';
-      out += escape_field(e.table);
+      append_uint(out, e.row);
       out += '\t';
-      out += std::to_string(e.row);
+      append_uint(out, e.column);
       out += '\t';
-      out += std::to_string(e.column);
-      out += '\t';
-      out += encode_value(e.cells.at(0));
+      append_value(out, e.cells.at(0));
       break;
-    }
-    case JournalEntry::Op::kErase: {
-      out += 'E';
+    case JournalEntry::Op::kErase:
+      out += "E\t";
+      append_escaped(out, e.table);
       out += '\t';
-      out += escape_field(e.table);
-      out += '\t';
-      out += std::to_string(e.row);
+      append_uint(out, e.row);
       break;
-    }
   }
   out += '\n';
 }
@@ -108,6 +81,68 @@ void append_entry_text(const JournalEntry& e, std::string& out) {
 std::size_t header_text_size(std::uint64_t base_seq) noexcept {
   // "#seq\t<base>\n", emitted only once the journal has been truncated.
   return base_seq == 0 ? 0 : 4 + 1 + digit_count(base_seq) + 1;
+}
+
+/// Parses one record line (not a header) into an entry.
+Expected<JournalEntry> parse_entry(std::string_view line) {
+  const auto bad = [](const std::string& what) {
+    return Unexpected<Error>{Error{"journal_parse", what}};
+  };
+  Fields fields(line);
+  const std::string_view op = fields.next();
+  if (fields.done()) return bad("short record: " + std::string(line));
+  JournalEntry entry;
+  auto table = unescape_field(fields.next());
+  if (!table) return Unexpected<Error>{table.error()};
+  entry.table = std::move(*table);
+
+  if (op == "C") {
+    entry.op = JournalEntry::Op::kCreateTable;
+    while (!fields.done()) {
+      auto column = parse_column(fields.next());
+      if (!column) return Unexpected<Error>{column.error()};
+      entry.schema.push_back(std::move(*column));
+    }
+    return entry;
+  }
+  if (op == "I") {
+    entry.op = JournalEntry::Op::kInsert;
+  } else if (op == "U") {
+    entry.op = JournalEntry::Op::kUpdate;
+  } else if (op == "E") {
+    entry.op = JournalEntry::Op::kErase;
+  } else {
+    return bad("unknown op: " + std::string(op));
+  }
+  if (fields.done()) return bad("short record: " + std::string(line));
+  auto row = parse_uint(fields.next());
+  if (!row) return Unexpected<Error>{row.error()};
+  entry.row = *row;
+  switch (entry.op) {
+    case JournalEntry::Op::kInsert:
+      while (!fields.done()) {
+        auto v = parse_value(fields.next());
+        if (!v) return Unexpected<Error>{v.error()};
+        entry.cells.push_back(std::move(*v));
+      }
+      break;
+    case JournalEntry::Op::kUpdate: {
+      if (fields.done()) return bad("bad update");
+      auto column = parse_uint(fields.next());
+      if (!column) return Unexpected<Error>{column.error()};
+      entry.column = *column;
+      if (fields.done()) return bad("bad update");
+      auto v = parse_value(fields.next());
+      if (!v) return Unexpected<Error>{v.error()};
+      entry.cells.push_back(std::move(*v));
+      if (!fields.done()) return bad("bad update");
+      break;
+    }
+    default:
+      if (!fields.done()) return bad("bad erase");
+      break;
+  }
+  return entry;
 }
 
 }  // namespace
@@ -150,7 +185,7 @@ std::string Journal::serialize() const {
   out.reserve(size_bytes());
   if (base_seq_ != 0) {
     out += "#seq\t";
-    out += std::to_string(base_seq_);
+    append_uint(out, base_seq_);
     out += '\n';
   }
   for (const JournalEntry& e : entries_) append_entry_text(e, out);
@@ -161,67 +196,29 @@ std::string Journal::serialize() const {
 
 Expected<Journal> Journal::parse(const std::string& text) {
   Journal journal;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    const std::string_view line = next_line(rest);
     if (line.empty()) continue;
-    if (line[0] == '#') {
-      // Header line: "#seq\t<base>".  Legacy (pre-compaction) logs have
-      // no header and parse with base 0.
-      const std::vector<std::string> fields = split(line, '\t');
-      if (fields.size() != 2 || fields[0] != "#seq" ||
-          !journal.entries_.empty() || journal.base_seq_ != 0) {
-        return make_error("journal_parse", "bad header: " + line);
-      }
-      try {
-        journal.base_seq_ = std::stoull(fields[1]);
-      } catch (const std::exception&) {
-        return make_error("journal_parse", "bad header seq: " + fields[1]);
-      }
+    if (line[0] != '#') {
+      auto entry = parse_entry(line);
+      if (!entry) return Unexpected<Error>{entry.error()};
+      journal.append(std::move(*entry));
       continue;
     }
-    const std::vector<std::string> fields = split(line, '\t');
-    if (fields.size() < 2) {
-      return make_error("journal_parse", "short record: " + line);
+    // Header line: "#seq\t<base>".  Legacy (pre-compaction) logs have no
+    // header and parse with base 0.
+    Fields fields(line);
+    if (fields.next() != "#seq" || fields.done() ||
+        !journal.entries_.empty() || journal.base_seq_ != 0) {
+      return make_error("journal_parse", "bad header: " + std::string(line));
     }
-    JournalEntry entry;
-    auto table = unescape_field(fields[1]);
-    if (!table) return Unexpected<Error>{table.error()};
-    entry.table = std::move(*table);
-
-    const std::string& op = fields[0];
-    if (op == "C") {
-      entry.op = JournalEntry::Op::kCreateTable;
-      for (std::size_t i = 2; i < fields.size(); ++i) {
-        auto column = decode_column(fields[i]);
-        if (!column) return Unexpected<Error>{column.error()};
-        entry.schema.push_back(std::move(*column));
-      }
-    } else if (op == "I") {
-      if (fields.size() < 3) return make_error("journal_parse", "short insert");
-      entry.op = JournalEntry::Op::kInsert;
-      entry.row = std::stoull(fields[2]);
-      for (std::size_t i = 3; i < fields.size(); ++i) {
-        auto v = decode_value(fields[i]);
-        if (!v) return Unexpected<Error>{v.error()};
-        entry.cells.push_back(std::move(*v));
-      }
-    } else if (op == "U") {
-      if (fields.size() != 5) return make_error("journal_parse", "bad update");
-      entry.op = JournalEntry::Op::kUpdate;
-      entry.row = std::stoull(fields[2]);
-      entry.column = std::stoull(fields[3]);
-      auto v = decode_value(fields[4]);
-      if (!v) return Unexpected<Error>{v.error()};
-      entry.cells.push_back(std::move(*v));
-    } else if (op == "E") {
-      if (fields.size() != 3) return make_error("journal_parse", "bad erase");
-      entry.op = JournalEntry::Op::kErase;
-      entry.row = std::stoull(fields[2]);
-    } else {
-      return make_error("journal_parse", "unknown op: " + op);
+    const std::string_view seq = fields.next();
+    auto base = parse_uint(seq);
+    if (!base || !fields.done()) {
+      return make_error("journal_parse", "bad header seq: " + std::string(seq));
     }
-    journal.append(std::move(entry));
+    journal.base_seq_ = *base;
   }
   return journal;
 }

@@ -44,8 +44,11 @@ const XrValue& XrValue::at(const std::string& key) const {
   return it->second;
 }
 
-bool XrValue::has(const std::string& key) const noexcept {
-  return is_struct() && std::get<Struct>(data_).contains(key);
+const XrValue* XrValue::find(const std::string& key) const noexcept {
+  const Struct* s = std::get_if<Struct>(&data_);
+  if (s == nullptr) return nullptr;
+  const auto it = s->find(key);
+  return it == s->end() ? nullptr : &it->second;
 }
 
 namespace {

@@ -60,8 +60,13 @@ class XrValue {
 
   /// Struct member access; throws if not a struct or key missing.
   [[nodiscard]] const XrValue& at(const std::string& key) const;
+  /// Struct member lookup: nullptr when this is not a struct or lacks
+  /// `key`.  One map probe, where has() + at() would take two.
+  [[nodiscard]] const XrValue* find(const std::string& key) const noexcept;
   /// True if this is a struct containing `key`.
-  [[nodiscard]] bool has(const std::string& key) const noexcept;
+  [[nodiscard]] bool has(const std::string& key) const noexcept {
+    return find(key) != nullptr;
+  }
 
   /// Appends this value as a compact <value> element to `out`.
   void write(std::string& out) const;

@@ -188,7 +188,9 @@ echo "== recovery benchmark =="
 # Checkpoint + suffix recovery vs full-history replay at 1k/10k/100k
 # journal records.  The checkpointed path should win by well over an
 # order of magnitude at 100k and retain only the post-checkpoint journal
-# suffix.  Results land in BENCH_recovery.json.
+# suffix.  Also taking an image of 2,048 rows with 0/200/2,048 rows
+# changed since the last (BM_CheckpointPublish) and restoring one
+# (BM_SnapshotRestore).  Results land in BENCH_recovery.json.
 ./build/relwithdebinfo/bench/micro_recovery \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 
