@@ -39,8 +39,9 @@ void BM_IndexedFindBy(benchmark::State& state) {
     table.insert({Value(i), Value(i % 7 == 0 ? "ready" : "running"),
                   Value(i % 16), Value(60.0)});
   }
+  const std::size_t state_col = table.schema().index_of("state");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find_by("state", Value("ready")));
+    benchmark::DoNotOptimize(table.find_by(state_col, Value("ready")));
   }
 }
 BENCHMARK(BM_IndexedFindBy);
@@ -51,8 +52,9 @@ void BM_ScanFindBy(benchmark::State& state) {
     table.insert({Value(i), Value(i % 7 == 0 ? "ready" : "running"),
                   Value(i % 16), Value(60.0)});
   }
+  const std::size_t state_col = table.schema().index_of("state");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find_by("state", Value("ready")));
+    benchmark::DoNotOptimize(table.find_by(state_col, Value("ready")));
   }
 }
 BENCHMARK(BM_ScanFindBy);
@@ -65,15 +67,71 @@ void BM_StateUpdate(benchmark::State& state) {
     rows.push_back(
         table.insert({Value(i), Value("a"), Value(i % 16), Value(60.0)}));
   }
+  const std::size_t state_col = table.schema().index_of("state");
   std::size_t k = 0;
   for (auto _ : state) {
-    table.update(rows[k % rows.size()], "state",
+    table.update(rows[k % rows.size()], state_col,
                  Value(k % 2 == 0 ? "b" : "a"));
     ++k;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_StateUpdate);
+
+db::Schema indexed_job_schema() {
+  return db::Schema{db::indexed("job_id", db::ValueType::kInt),
+                    db::indexed("dag_id", db::ValueType::kInt),
+                    {"name", db::ValueType::kText},
+                    db::indexed("state", db::ValueType::kText),
+                    {"site", db::ValueType::kInt},
+                    {"runtime", db::ValueType::kReal}};
+}
+
+db::Table filled_job_table() {
+  db::Table table("jobs", indexed_job_schema());
+  for (std::int64_t i = 0; i < 4096; ++i) {
+    table.insert({Value(i), Value(i / 8), Value("job-" + std::to_string(i)),
+                  Value(i % 7 == 0 ? "ready" : "running"), Value(i % 16),
+                  Value(60.0)});
+  }
+  return table;
+}
+
+// An update of a cell no index covers, in a table with three indexes:
+// no index bucket should be touched.
+void BM_UpdateUnindexedColumn(benchmark::State& state) {
+  db::Table table = filled_job_table();
+  const std::size_t site_col = table.schema().index_of("site");
+  std::int64_t k = 0;
+  for (auto _ : state) {
+    table.update(static_cast<db::RowId>(1 + k % 4096), site_col,
+                 Value(k % 16));
+    ++k;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_UpdateUnindexedColumn);
+
+// A unique-key lookup through an index: arg 0 probes the int job_id
+// column, arg 1 the text name column's equivalent (indexed here).
+void BM_IndexedFindFirst(benchmark::State& state) {
+  const bool text = state.range(0) == 1;
+  db::Table table = filled_job_table();
+  if (text) table.create_index("name");
+  const std::size_t col =
+      table.schema().index_of(text ? "name" : "job_id");
+  std::vector<Value> keys;
+  for (std::int64_t i = 0; i < 4096; i += 37) {
+    keys.push_back(text ? Value("job-" + std::to_string(i)) : Value(i));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find_first(col, keys[k++ % keys.size()]));
+  }
+  state.SetLabel(text ? "text key" : "int key");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_IndexedFindFirst)->Arg(0)->Arg(1);
 
 void BM_JournalReplay(benchmark::State& state) {
   // Build a realistic warehouse journal, then measure recovery.

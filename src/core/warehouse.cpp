@@ -21,21 +21,59 @@ constexpr double kEwmaAlpha = 0.3;
 // (site, job-class) key.  Bounded so the journal and the percentile scan
 // both stay O(1) per key while the distribution still adapts.
 constexpr std::size_t kMaxRuntimeSamples = 32;
-}  // namespace
 
-DataWarehouse::DataWarehouse() : DataWarehouse(true) {}
+// Column positions, in the order schemas() declares them.  Every table is
+// checked against its declaration when the warehouse resolves it, so rows
+// are read and written by position.
+namespace dag_col {
+enum : std::size_t {
+  kDagId, kName, kClient, kUser, kState, kReceivedAt, kFinishedAt,
+  kTotalJobs, kPriority, kDeadline
+};
+}  // namespace dag_col
+namespace job_col {
+enum : std::size_t {
+  kJobId, kDagId, kName, kState, kSite, kComputeTime, kOutput, kOutputBytes,
+  kAttempt, kPlannedAt
+};
+}  // namespace job_col
+namespace input_col {
+enum : std::size_t { kJobId, kLfn };
+}  // namespace input_col
+namespace dep_col {
+enum : std::size_t { kJobId, kParent };
+}  // namespace dep_col
+namespace stats_col {
+enum : std::size_t { kSiteId, kCompleted, kCancelled, kAvgCompletion, kSamples };
+}  // namespace stats_col
+namespace quota_col {
+enum : std::size_t { kUser, kSite, kResource, kLimit, kUsed };
+}  // namespace quota_col
+namespace soft_col {
+enum : std::size_t { kKey, kValue };
+}  // namespace soft_col
+namespace outbox_col {
+enum : std::size_t { kSeq, kService, kPayload, kAttempt, kLastSentAt };
+}  // namespace outbox_col
+namespace spec_col {
+enum : std::size_t {
+  kJobId, kDagId, kPrimarySite, kPrimaryAttempt, kPrimaryPlannedAt,
+  kSpecSite, kSpecAttempt, kState, kLaunchedAt
+};
+}  // namespace spec_col
+namespace sample_col {
+enum : std::size_t { kSite, kClass, kRuntime };
+}  // namespace sample_col
 
-DataWarehouse::DataWarehouse(bool with_schema) {
-  if (with_schema) create_schema();
-}
-
-void DataWarehouse::create_schema() {
+/// The warehouse schema, in creation order (the order of
+/// DataWarehouse::Tables).  Hot-path columns declare their hash index in
+/// the schema itself, so the index set is journaled with the kCreateTable
+/// entry and recovery rebuilds it without a separate recreation pass.
+std::vector<std::pair<std::string, db::Schema>> schemas() {
   using db::indexed;
   using db::ValueType;
-  // Hot-path columns declare their hash index in the schema itself, so the
-  // index set is journaled with the kCreateTable entry and recovery
-  // rebuilds it without a separate recreation pass.
-  db_.create_table("dags", db::Schema{{indexed("dag_id", ValueType::kInt),
+  std::vector<std::pair<std::string, db::Schema>> out;
+  out.emplace_back("dags", db::Schema{{indexed("dag_id", ValueType::kInt),
                                        {"name", ValueType::kText},
                                        {"client", ValueType::kText},
                                        {"user", ValueType::kInt},
@@ -45,7 +83,7 @@ void DataWarehouse::create_schema() {
                                        {"total_jobs", ValueType::kInt},
                                        {"priority", ValueType::kReal},
                                        {"deadline", ValueType::kReal}}});
-  db_.create_table("jobs", db::Schema{{indexed("job_id", ValueType::kInt),
+  out.emplace_back("jobs", db::Schema{{indexed("job_id", ValueType::kInt),
                                        indexed("dag_id", ValueType::kInt),
                                        {"name", ValueType::kText},
                                        indexed("state", ValueType::kText),
@@ -55,19 +93,19 @@ void DataWarehouse::create_schema() {
                                        {"output_bytes", ValueType::kReal},
                                        {"attempt", ValueType::kInt},
                                        {"planned_at", ValueType::kReal}}});
-  db_.create_table("job_inputs",
+  out.emplace_back("job_inputs",
                    db::Schema{{indexed("job_id", ValueType::kInt),
                                {"lfn", ValueType::kText}}});
-  db_.create_table("job_deps",
+  out.emplace_back("job_deps",
                    db::Schema{{indexed("job_id", ValueType::kInt),
                                indexed("parent", ValueType::kInt)}});
-  db_.create_table("site_stats",
+  out.emplace_back("site_stats",
                    db::Schema{{indexed("site_id", ValueType::kInt),
                                {"completed", ValueType::kInt},
                                {"cancelled", ValueType::kInt},
                                {"avg_completion", ValueType::kReal},
                                {"samples", ValueType::kInt}}});
-  db_.create_table("quotas", db::Schema{{indexed("user", ValueType::kInt),
+  out.emplace_back("quotas", db::Schema{{indexed("user", ValueType::kInt),
                                          {"site", ValueType::kInt},
                                          {"resource", ValueType::kText},
                                          {"limit", ValueType::kReal},
@@ -75,13 +113,13 @@ void DataWarehouse::create_schema() {
   // Key/value store for scheduling-module soft state (strategy cursors).
   // Journaled like everything else, so a recovered server's strategy
   // resumes mid-rotation instead of resetting to job zero.
-  db_.create_table("scheduler_state",
+  out.emplace_back("scheduler_state",
                    db::Schema{{indexed("key", ValueType::kText),
                                {"value", ValueType::kText}}});
   // In-flight calls of the server's outbound RPC client.  Journaled so a
   // journal-recovered server re-arms the exact retry schedule the
   // crashed instance had in flight (see ClarensClient::restore_call).
-  db_.create_table("rpc_outbox",
+  out.emplace_back("rpc_outbox",
                    db::Schema{{indexed("seq", ValueType::kInt),
                                {"service", ValueType::kText},
                                {"payload", ValueType::kText},
@@ -92,7 +130,7 @@ void DataWarehouse::create_schema() {
   // journal like jobs do.  The runtime-sample rings feed the detector's
   // per-(site, class) percentiles; journaling them keeps a recovered
   // detector's decisions byte-identical to the crashed instance's.
-  db_.create_table("speculations",
+  out.emplace_back("speculations",
                    db::Schema{{indexed("job_id", ValueType::kInt),
                                {"dag_id", ValueType::kInt},
                                {"primary_site", ValueType::kInt},
@@ -102,7 +140,7 @@ void DataWarehouse::create_schema() {
                                {"spec_attempt", ValueType::kInt},
                                indexed("state", ValueType::kText),
                                {"launched_at", ValueType::kReal}}});
-  db_.create_table("runtime_samples",
+  out.emplace_back("runtime_samples",
                    db::Schema{{indexed("site", ValueType::kInt),
                                indexed("class", ValueType::kInt),
                                {"runtime", ValueType::kReal}}});
@@ -110,9 +148,54 @@ void DataWarehouse::create_schema() {
   // *when* each sweep cleared it is history only the journal carries:
   // rebuild_work_state() replays the enqueue rules over the journal and
   // needs the clear points to land in order between them.
-  db::Table& work_queue =
-      db_.create_table("work_queue", db::Schema{{"drains", ValueType::kInt}});
-  work_queue.insert({Value(std::int64_t{0})});
+  out.emplace_back("work_queue",
+                   db::Schema{{"drains", ValueType::kInt}});
+  return out;
+}
+
+SiteId site_cell(const Value& v) {
+  return SiteId(static_cast<std::uint64_t>(v.as_int()));
+}
+
+}  // namespace
+
+DataWarehouse::DataWarehouse() : DataWarehouse(true) {}
+
+DataWarehouse::DataWarehouse(bool with_schema) {
+  if (with_schema) create_schema();
+}
+
+void DataWarehouse::create_schema() {
+  for (auto& [name, schema] : schemas()) {
+    db_.create_table(name, std::move(schema));
+  }
+  const StatusOrError resolved = resolve_tables();
+  SPHINX_ASSERT(resolved.ok(), "a fresh schema resolves");
+  tables_.work_queue->insert({Value(std::int64_t{0})});
+}
+
+StatusOrError DataWarehouse::resolve_tables() {
+  db::Table** const handles[] = {
+      &tables_.dags,         &tables_.jobs,        &tables_.job_inputs,
+      &tables_.job_deps,     &tables_.site_stats,  &tables_.quotas,
+      &tables_.soft_state,   &tables_.rpc_outbox,  &tables_.speculations,
+      &tables_.runtime_samples, &tables_.work_queue};
+  const auto declared = schemas();
+  SPHINX_ASSERT(declared.size() == std::size(handles),
+                "every declared table needs a handle");
+  for (std::size_t i = 0; i < declared.size(); ++i) {
+    const auto& [name, schema] = declared[i];
+    if (!db_.has_table(name)) {
+      return make_error("recover_schema", "no table " + name);
+    }
+    db::Table& table = db_.table(name);
+    if (table.schema().columns() != schema.columns()) {
+      return make_error("recover_schema",
+                        "table " + name + " differs from its declaration");
+    }
+    *handles[i] = &table;
+  }
+  return {};
 }
 
 Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
@@ -128,11 +211,14 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
   // too.  Only the derived work state needs explicit reconstruction.
   auto warehouse =
       std::unique_ptr<DataWarehouse>(new DataWarehouse(false));
-  if (const auto status = warehouse->db_.recover(journal); !status.ok()) {
+  if (const auto status = warehouse->db_.recover(
+          journal, 0, db::Database::Sweep::kByCaller);
+      !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
-  warehouse->rebuild_work_state();
-  warehouse->check_invariants();  // replay must reproduce a sound store
+  if (const auto status = warehouse->finish_recovery(); !status.ok()) {
+    return Unexpected<Error>{status.error()};
+  }
   return warehouse;
 }
 
@@ -140,7 +226,8 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
     const CheckpointImage& checkpoint, const db::Journal& journal) {
   auto warehouse =
       std::unique_ptr<DataWarehouse>(new DataWarehouse(false));
-  if (const auto status = warehouse->db_.restore(checkpoint.database);
+  if (const auto status = warehouse->db_.restore(
+          checkpoint.database, db::Database::Sweep::kByCaller);
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
@@ -148,7 +235,8 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
   // between image publication and truncation the journal still holds the
   // compacted prefix; skipping entries below checkpoint.seq completes
   // the interrupted truncation.
-  if (const auto status = warehouse->db_.recover(journal, checkpoint.seq);
+  if (const auto status = warehouse->db_.recover(
+          journal, checkpoint.seq, db::Database::Sweep::kByCaller);
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
@@ -156,9 +244,20 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
   // from it and so a later crash can pair the (now compacted) journal
   // with the image that anchors its sequence numbers.
   warehouse->checkpoint_ = checkpoint;
-  warehouse->rebuild_work_state();
-  warehouse->check_invariants();
+  if (const auto status = warehouse->finish_recovery(); !status.ok()) {
+    return Unexpected<Error>{status.error()};
+  }
   return warehouse;
+}
+
+StatusOrError DataWarehouse::finish_recovery() {
+  if (auto status = resolve_tables(); !status.ok()) return status;
+  rebuild_work_state();
+  // The recovery's one sweep, before the server serves: the db layer's
+  // structural checks (restore and replay deferred theirs to here) plus
+  // the warehouse's own.
+  check_invariants();
+  return {};
 }
 
 DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
@@ -200,33 +299,7 @@ void DataWarehouse::rebuild_work_state() {
     dirty_rows_.insert(checkpoint_->dirty_rows.begin(),
                        checkpoint_->dirty_rows.end());
   }
-  outstanding_.clear();
-
-  // One pass over jobs: rebuild the outstanding counters.
-  const db::Table& jobs = db_.table("jobs");
-  const std::size_t job_state_col = jobs.schema().index_of("state");
-  const std::size_t job_site_col = jobs.schema().index_of("site");
-  const std::size_t job_dag_col = jobs.schema().index_of("dag_id");
-  jobs.for_each([&](const db::Row& row) {
-    if (is_outstanding(job_state_from(row.cells[job_state_col].as_text()))) {
-      ++outstanding_[SiteId(
-          static_cast<std::uint64_t>(row.cells[job_site_col].as_int()))];
-    }
-  });
-  // Open speculation races: the job row tracks the replica attempt, so
-  // the original attempt's outstanding unit lives on the racing row.
-  {
-    const db::Table& specs = db_.table("speculations");
-    const std::size_t spec_state_col = specs.schema().index_of("state");
-    const std::size_t spec_primary_col =
-        specs.schema().index_of("primary_site");
-    const std::string racing = to_string(SpeculationState::kRacing);
-    specs.for_each([&](const db::Row& row) {
-      if (row.cells[spec_state_col].as_text() != racing) return;
-      ++outstanding_[SiteId(
-          static_cast<std::uint64_t>(row.cells[spec_primary_col].as_int()))];
-    });
-  }
+  outstanding_ = scan_outstanding_by_site();
 
   // The dirty queue is history, not state: "job completed, DAG queued,
   // sweep pending" and "job completed, sweep already ran" leave
@@ -236,9 +309,8 @@ void DataWarehouse::rebuild_work_state() {
   // cleared the queue -- so the recovered queue IS the crashed server's
   // queue, not an approximation (the chaos harness's differential oracle
   // compares the two runs byte-for-byte).
-  const db::Table& dags = db_.table("dags");
-  const std::size_t dag_id_col = dags.schema().index_of("dag_id");
-  const std::size_t dag_state_col = dags.schema().index_of("state");
+  const db::Table& dags = *tables_.dags;
+  const db::Table& jobs = *tables_.jobs;
   const std::string dag_finished = to_string(DagState::kFinished);
   const std::string job_unplanned = to_string(JobState::kUnplanned);
   const std::string job_completed = to_string(JobState::kCompleted);
@@ -246,10 +318,10 @@ void DataWarehouse::rebuild_work_state() {
     switch (entry.op) {
       case db::JournalEntry::Op::kInsert:
         // record_dag: a received DAG is work for the reducer.
-        if (entry.table == "dags") dirty_rows_.insert(entry.row);
+        if (entry.table == dags.name()) dirty_rows_.insert(entry.row);
         break;
       case db::JournalEntry::Op::kUpdate:
-        if (entry.table == "dags" && entry.column == dag_state_col) {
+        if (entry.table == dags.name() && entry.column == dag_col::kState) {
           // set_dag_state / set_dag_finished: the next stage owns it,
           // finished DAGs hold no pending work.
           if (entry.cells[0].as_text() == dag_finished) {
@@ -257,23 +329,24 @@ void DataWarehouse::rebuild_work_state() {
           } else {
             dirty_rows_.insert(entry.row);
           }
-        } else if (entry.table == "jobs" && entry.column == job_state_col) {
+        } else if (entry.table == jobs.name() &&
+                   entry.column == job_col::kState) {
           // update_job_state: falling back to unplanned or completing
           // creates planner work for the owning DAG.
           const std::string& text = entry.cells[0].as_text();
           if (text == job_unplanned || text == job_completed) {
             const db::Row* job_row = jobs.find(entry.row);
             if (job_row == nullptr) break;
-            const db::Row* dag_row = dags.find_first(
-                "dag_id", Value(job_row->cells[job_dag_col].as_int()));
+            const db::Row* dag_row =
+                dags.find_first(dag_col::kDagId, job_row->cells[job_col::kDagId]);
             if (dag_row != nullptr) dirty_rows_.insert(dag_row->id);
           }
-        } else if (entry.table == "work_queue") {
+        } else if (entry.table == tables_.work_queue->name()) {
           dirty_rows_.clear();  // a sweep drained everything queued so far
         }
         break;
       case db::JournalEntry::Op::kErase:
-        if (entry.table == "dags") dirty_rows_.erase(entry.row);
+        if (entry.table == dags.name()) dirty_rows_.erase(entry.row);
         break;
       case db::JournalEntry::Op::kCreateTable:
         break;
@@ -290,82 +363,89 @@ void DataWarehouse::rebuild_work_state() {
   // those marks exactly; DAGs whose unplanned jobs all wait on parents
   // were never re-marked and are not queued here either.
   dags.for_each([&](const db::Row& row) {
-    if (row.cells[dag_state_col].as_text() == dag_finished) return;
-    const DagId dag(static_cast<std::uint64_t>(row.cells[dag_id_col].as_int()));
+    if (row.cells[dag_col::kState].as_text() == dag_finished) return;
+    const DagId dag(
+        static_cast<std::uint64_t>(row.cells[dag_col::kDagId].as_int()));
     if (!ready_jobs(dag).empty()) dirty_rows_.insert(row.id);
   });
 }
 
 // --- DAGs ---------------------------------------------------------------
 
+const db::Row* DataWarehouse::dag_row(DagId id) const {
+  return tables_.dags->find_first(dag_col::kDagId, Value(id.value()));
+}
+
+const db::Row* DataWarehouse::job_row(JobId id) const {
+  return tables_.jobs->find_first(job_col::kJobId, Value(id.value()));
+}
+
 void DataWarehouse::insert_dag(const workflow::Dag& dag,
                                const std::string& client, UserId user,
                                SimTime now, double priority,
                                SimTime deadline) {
-  const db::RowId row = db_.table("dags").insert(
+  const db::RowId row = tables_.dags->insert(
       {Value(dag.id().value()), Value(dag.name()), Value(client),
        Value(user.value()), Value(to_string(DagState::kReceived)), Value(now),
        Value(kNever), Value(static_cast<std::int64_t>(dag.size())),
        Value(priority), Value(deadline)});
   dirty_rows_.insert(row);  // a received DAG is work for the reducer
-  db::Table& jobs = db_.table("jobs");
-  db::Table& inputs = db_.table("job_inputs");
-  db::Table& deps = db_.table("job_deps");
   for (const workflow::JobSpec& job : dag.jobs()) {
-    jobs.insert({Value(job.id.value()), Value(dag.id().value()),
-                 Value(job.name), Value(to_string(JobState::kUnplanned)),
-                 Value(std::int64_t{0}), Value(job.compute_time),
-                 Value(job.output), Value(job.output_bytes),
-                 Value(std::int64_t{0}), Value(kNever)});
+    tables_.jobs->insert({Value(job.id.value()), Value(dag.id().value()),
+                          Value(job.name), Value(to_string(JobState::kUnplanned)),
+                          Value(std::int64_t{0}), Value(job.compute_time),
+                          Value(job.output), Value(job.output_bytes),
+                          Value(std::int64_t{0}), Value(kNever)});
     for (const data::Lfn& lfn : job.inputs) {
-      inputs.insert({Value(job.id.value()), Value(lfn)});
+      tables_.job_inputs->insert({Value(job.id.value()), Value(lfn)});
     }
     for (const JobId parent : dag.parents(job.id)) {
-      deps.insert({Value(job.id.value()), Value(parent.value())});
+      tables_.job_deps->insert({Value(job.id.value()), Value(parent.value())});
     }
   }
 }
 
 DagRecord DataWarehouse::decode_dag(const db::Row& row) {
+  using namespace dag_col;
   DagRecord rec;
-  rec.id = DagId(static_cast<std::uint64_t>(row.cells[0].as_int()));
-  rec.name = row.cells[1].as_text();
-  rec.client = row.cells[2].as_text();
-  rec.user = UserId(static_cast<std::uint64_t>(row.cells[3].as_int()));
-  rec.state = dag_state_from(row.cells[4].as_text());
-  rec.received_at = row.cells[5].as_real();
-  rec.finished_at = row.cells[6].as_real();
-  rec.total_jobs = row.cells[7].as_int();
-  rec.priority = row.cells[8].as_real();
-  rec.deadline = row.cells[9].as_real();
+  rec.id = DagId(static_cast<std::uint64_t>(row.cells[kDagId].as_int()));
+  rec.name = row.cells[kName].as_text();
+  rec.client = row.cells[kClient].as_text();
+  rec.user = UserId(static_cast<std::uint64_t>(row.cells[kUser].as_int()));
+  rec.state = dag_state_from(row.cells[kState].as_text());
+  rec.received_at = row.cells[kReceivedAt].as_real();
+  rec.finished_at = row.cells[kFinishedAt].as_real();
+  rec.total_jobs = row.cells[kTotalJobs].as_int();
+  rec.priority = row.cells[kPriority].as_real();
+  rec.deadline = row.cells[kDeadline].as_real();
   return rec;
 }
 
 std::vector<DagRecord> DataWarehouse::dags_in_state(DagState state) const {
-  const db::Table& dags = db_.table("dags");
+  const db::Table& dags = *tables_.dags;
   std::vector<DagRecord> out;
-  for (const db::RowId id : dags.find_by("state", Value(to_string(state)))) {
+  for (const db::RowId id :
+       dags.find_by(dag_col::kState, Value(to_string(state)))) {
     out.push_back(decode_dag(*dags.find(id)));
   }
   return out;
 }
 
 std::optional<DagRecord> DataWarehouse::dag(DagId id) const {
-  const db::Row* row =
-      db_.table("dags").find_first("dag_id", Value(id.value()));
+  const db::Row* row = dag_row(id);
   if (row == nullptr) return std::nullopt;
   return decode_dag(*row);
 }
 
 void DataWarehouse::set_dag_state(DagId id, DagState state) {
-  db::Table& dags = db_.table("dags");
-  const db::Row* row = dags.find_first("dag_id", Value(id.value()));
+  const db::Row* row = dag_row(id);
   SPHINX_ASSERT(row != nullptr, "set_dag_state: unknown dag");
   SPHINX_PRECONDITION(
-      is_legal_transition(dag_state_from(row->cells[4].as_text()), state),
+      is_legal_transition(dag_state_from(row->cells[dag_col::kState].as_text()),
+                          state),
       "dag automaton only moves forward");
   const db::RowId row_id = row->id;
-  dags.update(row_id, "state", Value(to_string(state)));
+  tables_.dags->update(row_id, dag_col::kState, Value(to_string(state)));
   if (state == DagState::kFinished) {
     dirty_rows_.erase(row_id);
   } else {
@@ -374,20 +454,20 @@ void DataWarehouse::set_dag_state(DagId id, DagState state) {
 }
 
 void DataWarehouse::set_dag_finished(DagId id, SimTime at) {
-  db::Table& dags = db_.table("dags");
-  const db::Row* row = dags.find_first("dag_id", Value(id.value()));
+  const db::Row* row = dag_row(id);
   SPHINX_ASSERT(row != nullptr, "set_dag_finished: unknown dag");
-  SPHINX_PRECONDITION(at >= row->cells[5].as_real(),
+  SPHINX_PRECONDITION(at >= row->cells[dag_col::kReceivedAt].as_real(),
                       "dag cannot finish before it was received");
   const db::RowId row_id = row->id;
-  dags.update(row_id, "state", Value(to_string(DagState::kFinished)));
-  dags.update(row_id, "finished_at", Value(at));
+  tables_.dags->update(row_id, dag_col::kState,
+                       Value(to_string(DagState::kFinished)));
+  tables_.dags->update(row_id, dag_col::kFinishedAt, Value(at));
   dirty_rows_.erase(row_id);  // finished DAGs hold no pending work
 }
 
 std::vector<DagRecord> DataWarehouse::all_dags() const {
   std::vector<DagRecord> out;
-  db_.table("dags").for_each(
+  tables_.dags->for_each(
       [&out](const db::Row& row) { out.push_back(decode_dag(row)); });
   return out;
 }
@@ -395,55 +475,56 @@ std::vector<DagRecord> DataWarehouse::all_dags() const {
 // --- jobs ---------------------------------------------------------------
 
 JobRecord DataWarehouse::decode_job(const db::Row& row) {
+  using namespace job_col;
   JobRecord rec;
-  rec.id = JobId(static_cast<std::uint64_t>(row.cells[0].as_int()));
-  rec.dag = DagId(static_cast<std::uint64_t>(row.cells[1].as_int()));
-  rec.name = row.cells[2].as_text();
-  rec.state = job_state_from(row.cells[3].as_text());
-  rec.site = SiteId(static_cast<std::uint64_t>(row.cells[4].as_int()));
-  rec.compute_time = row.cells[5].as_real();
-  rec.output = row.cells[6].as_text();
-  rec.output_bytes = row.cells[7].as_real();
-  rec.attempt = static_cast<int>(row.cells[8].as_int());
-  rec.planned_at = row.cells[9].as_real();
+  rec.id = JobId(static_cast<std::uint64_t>(row.cells[kJobId].as_int()));
+  rec.dag = DagId(static_cast<std::uint64_t>(row.cells[kDagId].as_int()));
+  rec.name = row.cells[kName].as_text();
+  rec.state = job_state_from(row.cells[kState].as_text());
+  rec.site = site_cell(row.cells[kSite]);
+  rec.compute_time = row.cells[kComputeTime].as_real();
+  rec.output = row.cells[kOutput].as_text();
+  rec.output_bytes = row.cells[kOutputBytes].as_real();
+  rec.attempt = static_cast<int>(row.cells[kAttempt].as_int());
+  rec.planned_at = row.cells[kPlannedAt].as_real();
   return rec;
 }
 
 SpeculationRecord DataWarehouse::decode_speculation(const db::Row& row) {
+  using namespace spec_col;
   SpeculationRecord rec;
-  rec.job = JobId(static_cast<std::uint64_t>(row.cells[0].as_int()));
-  rec.dag = DagId(static_cast<std::uint64_t>(row.cells[1].as_int()));
-  rec.primary_site =
-      SiteId(static_cast<std::uint64_t>(row.cells[2].as_int()));
-  rec.primary_attempt = static_cast<int>(row.cells[3].as_int());
-  rec.primary_planned_at = row.cells[4].as_real();
-  rec.spec_site = SiteId(static_cast<std::uint64_t>(row.cells[5].as_int()));
-  rec.spec_attempt = static_cast<int>(row.cells[6].as_int());
-  rec.state = speculation_state_from(row.cells[7].as_text());
-  rec.launched_at = row.cells[8].as_real();
+  rec.job = JobId(static_cast<std::uint64_t>(row.cells[kJobId].as_int()));
+  rec.dag = DagId(static_cast<std::uint64_t>(row.cells[kDagId].as_int()));
+  rec.primary_site = site_cell(row.cells[kPrimarySite]);
+  rec.primary_attempt = static_cast<int>(row.cells[kPrimaryAttempt].as_int());
+  rec.primary_planned_at = row.cells[kPrimaryPlannedAt].as_real();
+  rec.spec_site = site_cell(row.cells[kSpecSite]);
+  rec.spec_attempt = static_cast<int>(row.cells[kSpecAttempt].as_int());
+  rec.state = speculation_state_from(row.cells[kState].as_text());
+  rec.launched_at = row.cells[kLaunchedAt].as_real();
   return rec;
 }
 
 std::optional<JobRecord> DataWarehouse::job(JobId id) const {
-  const db::Row* row =
-      db_.table("jobs").find_first("job_id", Value(id.value()));
+  const db::Row* row = job_row(id);
   if (row == nullptr) return std::nullopt;
   return decode_job(*row);
 }
 
 std::vector<JobRecord> DataWarehouse::jobs_of_dag(DagId id) const {
-  const db::Table& jobs = db_.table("jobs");
+  const db::Table& jobs = *tables_.jobs;
   std::vector<JobRecord> out;
-  for (const db::RowId row : jobs.find_by("dag_id", Value(id.value()))) {
+  for (const db::RowId row : jobs.find_by(job_col::kDagId, Value(id.value()))) {
     out.push_back(decode_job(*jobs.find(row)));
   }
   return out;
 }
 
 std::vector<JobRecord> DataWarehouse::jobs_in_state(JobState state) const {
-  const db::Table& jobs = db_.table("jobs");
+  const db::Table& jobs = *tables_.jobs;
   std::vector<JobRecord> out;
-  for (const db::RowId row : jobs.find_by("state", Value(to_string(state)))) {
+  for (const db::RowId row :
+       jobs.find_by(job_col::kState, Value(to_string(state)))) {
     out.push_back(decode_job(*jobs.find(row)));
   }
   return out;
@@ -451,19 +532,19 @@ std::vector<JobRecord> DataWarehouse::jobs_in_state(JobState state) const {
 
 void DataWarehouse::set_job_state(JobId id, JobState state,
                                   std::string_view reason) {
-  db::Table& jobs = db_.table("jobs");
-  const db::Row* row = jobs.find_first("job_id", Value(id.value()));
+  const db::Row* row = job_row(id);
   SPHINX_ASSERT(row != nullptr, "set_job_state: unknown job");
-  const JobState old_state = job_state_from(row->cells[3].as_text());
+  const JobState old_state =
+      job_state_from(row->cells[job_col::kState].as_text());
   SPHINX_PRECONDITION(is_legal_transition(old_state, state),
                       "illegal job state transition " +
                           std::string(to_string(old_state)) + " -> " +
                           to_string(state));
-  const SiteId site(static_cast<std::uint64_t>(row->cells[4].as_int()));
-  const Value dag_key = row->cells[1];
-  const std::int64_t attempt = row->cells[8].as_int();
+  const SiteId site = site_cell(row->cells[job_col::kSite]);
+  const Value dag_key = row->cells[job_col::kDagId];
+  const std::int64_t attempt = row->cells[job_col::kAttempt].as_int();
   const db::RowId row_id = row->id;
-  jobs.update(row_id, "state", Value(to_string(state)));
+  tables_.jobs->update(row_id, job_col::kState, Value(to_string(state)));
 
   // Maintain the outstanding counters on the transition itself.
   const bool was_out = is_outstanding(old_state);
@@ -480,8 +561,8 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
   // A job falling back to unplanned (replanning) or completing (children
   // may become ready; the DAG may finish) creates planner work.
   if (state == JobState::kUnplanned || state == JobState::kCompleted) {
-    const db::Row* dag_row = db_.table("dags").find_first("dag_id", dag_key);
-    if (dag_row != nullptr) dirty_rows_.insert(dag_row->id);
+    const db::Row* dag = tables_.dags->find_first(dag_col::kDagId, dag_key);
+    if (dag != nullptr) dirty_rows_.insert(dag->id);
   }
 
   if (recorder_ != nullptr) {
@@ -499,19 +580,19 @@ void DataWarehouse::set_job_state(JobId id, JobState state,
 }
 
 void DataWarehouse::set_job_planned(JobId id, SiteId site, SimTime at) {
-  db::Table& jobs = db_.table("jobs");
-  const db::Row* row = jobs.find_first("job_id", Value(id.value()));
+  const db::Row* row = job_row(id);
   SPHINX_ASSERT(row != nullptr, "set_job_planned: unknown job");
   SPHINX_PRECONDITION(
-      is_legal_transition(job_state_from(row->cells[3].as_text()),
+      is_legal_transition(job_state_from(row->cells[job_col::kState].as_text()),
                           JobState::kPlanned),
       "job must be plannable to receive a plan");
   const db::RowId row_id = row->id;
-  const std::int64_t attempt = row->cells[8].as_int() + 1;
-  jobs.update(row_id, "state", Value(to_string(JobState::kPlanned)));
-  jobs.update(row_id, "site", Value(site.value()));
-  jobs.update(row_id, "attempt", Value(attempt));
-  jobs.update(row_id, "planned_at", Value(at));
+  const std::int64_t attempt = row->cells[job_col::kAttempt].as_int() + 1;
+  db::Table& jobs = *tables_.jobs;
+  jobs.update(row_id, job_col::kState, Value(to_string(JobState::kPlanned)));
+  jobs.update(row_id, job_col::kSite, Value(site.value()));
+  jobs.update(row_id, job_col::kAttempt, Value(attempt));
+  jobs.update(row_id, job_col::kPlannedAt, Value(at));
   ++outstanding_[site];  // planned counts as outstanding until it resolves
 
   if (recorder_ != nullptr) {
@@ -529,30 +610,32 @@ void DataWarehouse::set_recorder(obs::Recorder* recorder, std::string source) {
 }
 
 std::vector<data::Lfn> DataWarehouse::job_inputs(JobId id) const {
-  const db::Table& inputs = db_.table("job_inputs");
+  const db::Table& inputs = *tables_.job_inputs;
   std::vector<data::Lfn> out;
-  for (const db::RowId row : inputs.find_by("job_id", Value(id.value()))) {
-    out.push_back(inputs.find(row)->cells[1].as_text());
+  for (const db::RowId row :
+       inputs.find_by(input_col::kJobId, Value(id.value()))) {
+    out.push_back(inputs.find(row)->cells[input_col::kLfn].as_text());
   }
   return out;
 }
 
 std::vector<JobId> DataWarehouse::job_parents(JobId id) const {
-  const db::Table& deps = db_.table("job_deps");
+  const db::Table& deps = *tables_.job_deps;
   std::vector<JobId> out;
-  for (const db::RowId row : deps.find_by("job_id", Value(id.value()))) {
-    out.emplace_back(
-        static_cast<std::uint64_t>(deps.find(row)->cells[1].as_int()));
+  for (const db::RowId row : deps.find_by(dep_col::kJobId, Value(id.value()))) {
+    out.emplace_back(static_cast<std::uint64_t>(
+        deps.find(row)->cells[dep_col::kParent].as_int()));
   }
   return out;
 }
 
 std::vector<JobId> DataWarehouse::job_children(JobId id) const {
-  const db::Table& deps = db_.table("job_deps");
+  const db::Table& deps = *tables_.job_deps;
   std::vector<JobId> out;
-  for (const db::RowId row : deps.find_by("parent", Value(id.value()))) {
-    out.emplace_back(
-        static_cast<std::uint64_t>(deps.find(row)->cells[0].as_int()));
+  for (const db::RowId row :
+       deps.find_by(dep_col::kParent, Value(id.value()))) {
+    out.emplace_back(static_cast<std::uint64_t>(
+        deps.find(row)->cells[dep_col::kJobId].as_int()));
   }
   return out;
 }
@@ -566,8 +649,11 @@ std::unordered_set<JobId> DataWarehouse::completed_jobs(DagId dag) const {
 }
 
 std::vector<JobRecord> DataWarehouse::ready_jobs(DagId dag) const {
-  const auto completed = completed_jobs(dag);
   std::vector<JobRecord> out = jobs_of_dag(dag);
+  std::unordered_set<JobId> completed;
+  for (const JobRecord& job : out) {
+    if (job.state == JobState::kCompleted) completed.insert(job.id);
+  }
   std::erase_if(out, [&](const JobRecord& job) {
     if (job.state != JobState::kUnplanned) return true;
     const auto parents = job_parents(job.id);
@@ -589,25 +675,18 @@ std::unordered_map<SiteId, std::int64_t> DataWarehouse::outstanding_by_site()
 
 std::unordered_map<SiteId, std::int64_t>
 DataWarehouse::scan_outstanding_by_site() const {
-  const db::Table& jobs = db_.table("jobs");
-  const std::size_t state_col = jobs.schema().index_of("state");
-  const std::size_t site_col = jobs.schema().index_of("site");
   std::unordered_map<SiteId, std::int64_t> out;
-  jobs.for_each([&](const db::Row& row) {
-    if (is_outstanding(job_state_from(row.cells[state_col].as_text()))) {
-      ++out[SiteId(static_cast<std::uint64_t>(row.cells[site_col].as_int()))];
+  tables_.jobs->for_each([&](const db::Row& row) {
+    if (is_outstanding(job_state_from(row.cells[job_col::kState].as_text()))) {
+      ++out[site_cell(row.cells[job_col::kSite])];
     }
   });
   // Racing speculations hold the primary attempt's unit (the job row
   // only counts the replica).
-  const db::Table& specs = db_.table("speculations");
-  const std::size_t spec_state_col = specs.schema().index_of("state");
-  const std::size_t spec_primary_col = specs.schema().index_of("primary_site");
   const std::string racing = to_string(SpeculationState::kRacing);
-  specs.for_each([&](const db::Row& row) {
-    if (row.cells[spec_state_col].as_text() != racing) return;
-    ++out[SiteId(
-        static_cast<std::uint64_t>(row.cells[spec_primary_col].as_int()))];
+  tables_.speculations->for_each([&](const db::Row& row) {
+    if (row.cells[spec_col::kState].as_text() != racing) return;
+    ++out[site_cell(row.cells[spec_col::kPrimarySite])];
   });
   return out;
 }
@@ -615,8 +694,7 @@ DataWarehouse::scan_outstanding_by_site() const {
 // --- work queue ---------------------------------------------------------
 
 void DataWarehouse::mark_dag_dirty(DagId id) {
-  const db::Row* row =
-      db_.table("dags").find_first("dag_id", Value(id.value()));
+  const db::Row* row = dag_row(id);
   SPHINX_ASSERT(row != nullptr, "mark_dag_dirty: unknown dag");
   dirty_rows_.insert(row->id);
 }
@@ -626,7 +704,7 @@ std::vector<DagRecord> DataWarehouse::drain_dirty_dags() {
     // Journal the drain point (empty sweeps write nothing): without it a
     // recovered server cannot tell "enqueued, not yet swept" from
     // "already swept" -- both leave identical tables.
-    db::Table& ledger = db_.table("work_queue");
+    db::Table& ledger = *tables_.work_queue;
     db::RowId ledger_row = db::kInvalidRow;
     std::int64_t drains = 0;
     ledger.for_each([&ledger_row, &drains](const db::Row& row) {
@@ -634,9 +712,9 @@ std::vector<DagRecord> DataWarehouse::drain_dirty_dags() {
       drains = row.cells[0].as_int();
     });
     SPHINX_ASSERT(ledger_row != db::kInvalidRow, "drain ledger row missing");
-    ledger.update(ledger_row, "drains", Value(drains + 1));
+    ledger.update(ledger_row, 0, Value(drains + 1));
   }
-  const db::Table& dags = db_.table("dags");
+  const db::Table& dags = *tables_.dags;
   std::vector<DagRecord> out;
   out.reserve(dirty_rows_.size());
   for (const db::RowId row_id : dirty_rows_) {
@@ -651,82 +729,86 @@ std::vector<DagRecord> DataWarehouse::drain_dirty_dags() {
 }
 
 std::vector<DagId> DataWarehouse::dirty_dags() const {
-  const db::Table& dags = db_.table("dags");
+  const db::Table& dags = *tables_.dags;
   std::vector<DagId> out;
   out.reserve(dirty_rows_.size());
   for (const db::RowId row_id : dirty_rows_) {
     const db::Row* row = dags.find(row_id);
     if (row == nullptr) continue;
-    out.emplace_back(static_cast<std::uint64_t>(row->cells[0].as_int()));
+    out.emplace_back(
+        static_cast<std::uint64_t>(row->cells[dag_col::kDagId].as_int()));
   }
   return out;
 }
 
 // --- site stats -----------------------------------------------------------
 
-db::RowId DataWarehouse::site_stats_row(SiteId site) const {
-  const db::Row* row =
-      db_.table("site_stats").find_first("site_id", Value(site.value()));
-  return row == nullptr ? db::kInvalidRow : row->id;
+const db::Row* DataWarehouse::site_stats_row(SiteId site) const {
+  return tables_.site_stats->find_first(stats_col::kSiteId,
+                                        Value(site.value()));
 }
 
 SiteStats DataWarehouse::site_stats(SiteId site) const {
+  using namespace stats_col;
   SiteStats out;
   out.site = site;
-  const db::RowId row = site_stats_row(site);
-  if (row == db::kInvalidRow) return out;
-  const db::Table& stats = db_.table("site_stats");
-  out.completed = stats.get(row, "completed").as_int();
-  out.cancelled = stats.get(row, "cancelled").as_int();
-  out.avg_completion = stats.get(row, "avg_completion").as_real();
-  out.samples = stats.get(row, "samples").as_int();
+  const db::Row* row = site_stats_row(site);
+  if (row == nullptr) return out;
+  out.completed = row->cells[kCompleted].as_int();
+  out.cancelled = row->cells[kCancelled].as_int();
+  out.avg_completion = row->cells[kAvgCompletion].as_real();
+  out.samples = row->cells[kSamples].as_int();
   return out;
 }
 
 void DataWarehouse::record_completion(SiteId site, Duration completion_time) {
+  using namespace stats_col;
   SPHINX_PRECONDITION(completion_time >= 0 && !std::isnan(completion_time),
                       "completion time must be a non-negative duration");
-  db::Table& stats = db_.table("site_stats");
-  db::RowId row = site_stats_row(site);
-  if (row == db::kInvalidRow) {
+  db::Table& stats = *tables_.site_stats;
+  const db::Row* row = site_stats_row(site);
+  if (row == nullptr) {
     stats.insert({Value(site.value()), Value(std::int64_t{1}),
                   Value(std::int64_t{0}), Value(completion_time),
                   Value(std::int64_t{1})});
     return;
   }
-  const std::int64_t completed = stats.get(row, "completed").as_int() + 1;
-  const std::int64_t samples = stats.get(row, "samples").as_int() + 1;
-  const double prev = stats.get(row, "avg_completion").as_real();
+  const db::RowId id = row->id;
+  const std::int64_t completed = row->cells[kCompleted].as_int() + 1;
+  const std::int64_t samples = row->cells[kSamples].as_int() + 1;
+  const double prev = row->cells[kAvgCompletion].as_real();
   const double next = samples == 1
                           ? completion_time
                           : kEwmaAlpha * completion_time +
                                 (1.0 - kEwmaAlpha) * prev;
-  stats.update(row, "completed", Value(completed));
-  stats.update(row, "samples", Value(samples));
-  stats.update(row, "avg_completion", Value(next));
+  stats.update(id, kCompleted, Value(completed));
+  stats.update(id, kSamples, Value(samples));
+  stats.update(id, kAvgCompletion, Value(next));
 }
 
 void DataWarehouse::record_cancellation(SiteId site,
                                         Duration censored_duration) {
-  db::Table& stats = db_.table("site_stats");
-  db::RowId row = site_stats_row(site);
-  if (row == db::kInvalidRow) {
+  using namespace stats_col;
+  db::Table& stats = *tables_.site_stats;
+  const db::Row* row = site_stats_row(site);
+  if (row == nullptr) {
     stats.insert({Value(site.value()), Value(std::int64_t{0}),
                   Value(std::int64_t{1}), Value(censored_duration),
                   Value(censored_duration > 0 ? std::int64_t{1}
                                               : std::int64_t{0})});
     return;
   }
-  stats.update(row, "cancelled",
-               Value(stats.get(row, "cancelled").as_int() + 1));
+  const db::RowId id = row->id;
+  const std::int64_t cancelled = row->cells[kCancelled].as_int() + 1;
+  const std::int64_t samples = row->cells[kSamples].as_int() + 1;
+  const double prev = row->cells[kAvgCompletion].as_real();
+  stats.update(id, kCancelled, Value(cancelled));
   if (censored_duration > 0) {
-    const std::int64_t samples = stats.get(row, "samples").as_int() + 1;
-    const double prev = stats.get(row, "avg_completion").as_real();
     const double next = samples == 1 ? censored_duration
                                      : kEwmaAlpha * censored_duration +
                                            (1.0 - kEwmaAlpha) * prev;
-    stats.update(row, "samples", Value(samples));
-    stats.update(row, "avg_completion", Value(next));
+    stats.update(id, kSamples, Value(samples));
+    stats.update(id, kAvgCompletion, Value(next));
   }
 }
 
@@ -741,15 +823,18 @@ void DataWarehouse::record_runtime_sample(SiteId site, int job_class,
                                           Duration runtime) {
   SPHINX_PRECONDITION(runtime >= 0 && !std::isnan(runtime),
                       "runtime sample must be a non-negative duration");
-  db::Table& table = db_.table("runtime_samples");
-  const std::size_t class_col = table.schema().index_of("class");
+  db::Table& table = *tables_.runtime_samples;
   // Ring bound: evict the oldest sample of this (site, class) key first.
   // find_by yields insertion order, so the first class match is oldest.
   std::size_t held = 0;
   db::RowId oldest = db::kInvalidRow;
-  for (const db::RowId id : table.find_by("site", Value(site.value()))) {
+  for (const db::RowId id :
+       table.find_by(sample_col::kSite, Value(site.value()))) {
     const db::Row* row = table.find(id);
-    if (static_cast<int>(row->cells[class_col].as_int()) != job_class) continue;
+    if (static_cast<int>(row->cells[sample_col::kClass].as_int()) !=
+        job_class) {
+      continue;
+    }
     ++held;
     if (oldest == db::kInvalidRow) oldest = id;
   }
@@ -760,59 +845,61 @@ void DataWarehouse::record_runtime_sample(SiteId site, int job_class,
 
 std::vector<double> DataWarehouse::runtime_samples(SiteId site,
                                                    int job_class) const {
-  const db::Table& table = db_.table("runtime_samples");
-  const std::size_t class_col = table.schema().index_of("class");
+  const db::Table& table = *tables_.runtime_samples;
   std::vector<double> out;
-  for (const db::RowId id : table.find_by("site", Value(site.value()))) {
+  for (const db::RowId id :
+       table.find_by(sample_col::kSite, Value(site.value()))) {
     const db::Row* row = table.find(id);
-    if (static_cast<int>(row->cells[class_col].as_int()) != job_class) continue;
-    out.push_back(row->cells[2].as_real());
+    if (static_cast<int>(row->cells[sample_col::kClass].as_int()) !=
+        job_class) {
+      continue;
+    }
+    out.push_back(row->cells[sample_col::kRuntime].as_real());
   }
   return out;
 }
 
 std::vector<double> DataWarehouse::runtime_samples_all_sites(
     int job_class) const {
-  const db::Table& table = db_.table("runtime_samples");
+  const db::Table& table = *tables_.runtime_samples;
   std::vector<double> out;
   for (const db::RowId id :
-       table.find_by("class", Value(std::int64_t{job_class}))) {
-    out.push_back(table.find(id)->cells[2].as_real());
+       table.find_by(sample_col::kClass, Value(std::int64_t{job_class}))) {
+    out.push_back(table.find(id)->cells[sample_col::kRuntime].as_real());
   }
   return out;
 }
 
 void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
-  db::Table& jobs = db_.table("jobs");
-  const db::Row* row = jobs.find_first("job_id", Value(id.value()));
+  const db::Row* row = job_row(id);
   SPHINX_PRECONDITION(row != nullptr, "speculate_job: unknown job");
-  const JobState state = job_state_from(row->cells[3].as_text());
+  const JobState state = job_state_from(row->cells[job_col::kState].as_text());
   SPHINX_PRECONDITION(
       state == JobState::kSubmitted || state == JobState::kRunning,
       "only a submitted/running job can be speculatively replicated");
-  const SiteId primary_site(
-      static_cast<std::uint64_t>(row->cells[4].as_int()));
+  const SiteId primary_site = site_cell(row->cells[job_col::kSite]);
   SPHINX_PRECONDITION(primary_site != spec_site,
                       "replica must race on a different site");
   SPHINX_PRECONDITION(!active_speculation(id).has_value(),
                       "job already has an open race");
-  const std::int64_t primary_attempt = row->cells[8].as_int();
-  const double primary_planned_at = row->cells[9].as_real();
-  const Value dag_key = row->cells[1];
+  const std::int64_t primary_attempt = row->cells[job_col::kAttempt].as_int();
+  const double primary_planned_at = row->cells[job_col::kPlannedAt].as_real();
+  const Value dag_key = row->cells[job_col::kDagId];
   const db::RowId row_id = row->id;
 
-  db_.table("speculations")
-      .insert({Value(id.value()), dag_key, Value(primary_site.value()),
-               Value(primary_attempt), Value(primary_planned_at),
-               Value(spec_site.value()), Value(primary_attempt + 1),
-               Value(to_string(SpeculationState::kRacing)), Value(at)});
+  tables_.speculations->insert(
+      {Value(id.value()), dag_key, Value(primary_site.value()),
+       Value(primary_attempt), Value(primary_planned_at),
+       Value(spec_site.value()), Value(primary_attempt + 1),
+       Value(to_string(SpeculationState::kRacing)), Value(at)});
   // Retarget the job row at the replica.  Direct writes: the automaton
   // forbids kSubmitted/kRunning -> kPlanned for a single attempt, but
   // here the original attempt stays live on the racing row.
-  jobs.update(row_id, "state", Value(to_string(JobState::kPlanned)));
-  jobs.update(row_id, "site", Value(spec_site.value()));
-  jobs.update(row_id, "attempt", Value(primary_attempt + 1));
-  jobs.update(row_id, "planned_at", Value(at));
+  db::Table& jobs = *tables_.jobs;
+  jobs.update(row_id, job_col::kState, Value(to_string(JobState::kPlanned)));
+  jobs.update(row_id, job_col::kSite, Value(spec_site.value()));
+  jobs.update(row_id, job_col::kAttempt, Value(primary_attempt + 1));
+  jobs.update(row_id, job_col::kPlannedAt, Value(at));
   // The primary's unit moved onto the racing row; the replica's is new.
   ++outstanding_[spec_site];
 
@@ -826,8 +913,9 @@ void DataWarehouse::speculate_job(JobId id, SiteId spec_site, SimTime at) {
 
 std::optional<SpeculationRecord> DataWarehouse::active_speculation(
     JobId id) const {
-  const db::Table& table = db_.table("speculations");
-  for (const db::RowId row_id : table.find_by("job_id", Value(id.value()))) {
+  const db::Table& table = *tables_.speculations;
+  for (const db::RowId row_id :
+       table.find_by(spec_col::kJobId, Value(id.value()))) {
     SpeculationRecord rec = decode_speculation(*table.find(row_id));
     if (rec.state == SpeculationState::kRacing) return rec;
   }
@@ -836,20 +924,19 @@ std::optional<SpeculationRecord> DataWarehouse::active_speculation(
 
 std::optional<SpeculationRecord> DataWarehouse::latest_speculation(
     JobId id) const {
-  const db::Table& table = db_.table("speculations");
-  std::optional<SpeculationRecord> latest;
+  const db::Table& table = *tables_.speculations;
   // find_by yields insertion order; the last row is the newest race.
-  for (const db::RowId row_id : table.find_by("job_id", Value(id.value()))) {
-    latest = decode_speculation(*table.find(row_id));
-  }
-  return latest;
+  const std::vector<db::RowId> rows =
+      table.find_by(spec_col::kJobId, Value(id.value()));
+  if (rows.empty()) return std::nullopt;
+  return decode_speculation(*table.find(rows.back()));
 }
 
 std::vector<SpeculationRecord> DataWarehouse::racing_speculations() const {
-  const db::Table& table = db_.table("speculations");
+  const db::Table& table = *tables_.speculations;
   std::vector<SpeculationRecord> out;
   for (const db::RowId row_id : table.find_by(
-           "state", Value(to_string(SpeculationState::kRacing)))) {
+           spec_col::kState, Value(to_string(SpeculationState::kRacing)))) {
     out.push_back(decode_speculation(*table.find(row_id)));
   }
   return out;
@@ -859,11 +946,12 @@ void DataWarehouse::resolve_speculation(JobId id,
                                         SpeculationState final_state) {
   SPHINX_PRECONDITION(final_state != SpeculationState::kRacing,
                       "a race resolves to a terminal state");
-  db::Table& table = db_.table("speculations");
+  db::Table& table = *tables_.speculations;
   const db::Row* racing_row = nullptr;
-  for (const db::RowId row_id : table.find_by("job_id", Value(id.value()))) {
+  for (const db::RowId row_id :
+       table.find_by(spec_col::kJobId, Value(id.value()))) {
     const db::Row* row = table.find(row_id);
-    if (speculation_state_from(row->cells[7].as_text()) ==
+    if (speculation_state_from(row->cells[spec_col::kState].as_text()) ==
         SpeculationState::kRacing) {
       racing_row = row;
       break;
@@ -872,7 +960,7 @@ void DataWarehouse::resolve_speculation(JobId id,
   SPHINX_PRECONDITION(racing_row != nullptr,
                       "resolve_speculation: job has no open race");
   const SpeculationRecord rec = decode_speculation(*racing_row);
-  table.update(racing_row->id, "state", Value(to_string(final_state)));
+  table.update(racing_row->id, spec_col::kState, Value(to_string(final_state)));
 
   const auto retire = [this](SiteId site) {
     const auto it = outstanding_.find(site);
@@ -885,12 +973,12 @@ void DataWarehouse::resolve_speculation(JobId id,
     // attempt column stays at the replica's number -- reusing the burnt
     // one would collide with the client's (job, attempt) duplicate guard
     // on the next replan.
-    db::Table& jobs = db_.table("jobs");
-    const db::Row* job_row = jobs.find_first("job_id", Value(id.value()));
-    SPHINX_ASSERT(job_row != nullptr, "resolve_speculation: unknown job");
-    SPHINX_ASSERT(job_row->cells[8].as_int() == rec.spec_attempt,
+    const db::Row* job = job_row(id);
+    SPHINX_ASSERT(job != nullptr, "resolve_speculation: unknown job");
+    SPHINX_ASSERT(job->cells[job_col::kAttempt].as_int() == rec.spec_attempt,
                   "racing job row must still track the replica attempt");
-    jobs.update(job_row->id, "site", Value(rec.primary_site.value()));
+    tables_.jobs->update(job->id, job_col::kSite,
+                         Value(rec.primary_site.value()));
     // The primary's unit transfers from the racing row to the job row;
     // net change is the replica's retirement.
     retire(rec.spec_site);
@@ -904,36 +992,37 @@ void DataWarehouse::resolve_speculation(JobId id,
 void DataWarehouse::outbox_upsert(std::uint64_t seq, const std::string& service,
                                   const std::string& payload, int attempt,
                                   SimTime last_sent_at) {
-  db::Table& table = db_.table("rpc_outbox");
-  const db::Row* row =
-      table.find_first("seq", Value(static_cast<std::int64_t>(seq)));
+  db::Table& table = *tables_.rpc_outbox;
+  const db::Row* row = table.find_first(
+      outbox_col::kSeq, Value(static_cast<std::int64_t>(seq)));
   if (row == nullptr) {
     table.insert({Value(static_cast<std::int64_t>(seq)), Value(service),
                   Value(payload), Value(std::int64_t{attempt}),
                   Value(last_sent_at)});
     return;
   }
-  table.update(row->id, "attempt", Value(std::int64_t{attempt}));
-  table.update(row->id, "last_sent_at", Value(last_sent_at));
+  const db::RowId id = row->id;
+  table.update(id, outbox_col::kAttempt, Value(std::int64_t{attempt}));
+  table.update(id, outbox_col::kLastSentAt, Value(last_sent_at));
 }
 
 void DataWarehouse::outbox_erase(std::uint64_t seq) {
-  db::Table& table = db_.table("rpc_outbox");
-  const db::Row* row =
-      table.find_first("seq", Value(static_cast<std::int64_t>(seq)));
+  db::Table& table = *tables_.rpc_outbox;
+  const db::Row* row = table.find_first(
+      outbox_col::kSeq, Value(static_cast<std::int64_t>(seq)));
   if (row != nullptr) table.erase(row->id);
 }
 
 std::vector<OutboxEntry> DataWarehouse::outbox_entries() const {
-  const db::Table& table = db_.table("rpc_outbox");
+  using namespace outbox_col;
   std::vector<OutboxEntry> entries;
-  table.for_each([&](const db::Row& row) {
+  tables_.rpc_outbox->for_each([&](const db::Row& row) {
     OutboxEntry entry;
-    entry.seq = static_cast<std::uint64_t>(row.cells[0].as_int());
-    entry.service = row.cells[1].as_text();
-    entry.payload = row.cells[2].as_text();
-    entry.attempt = static_cast<int>(row.cells[3].as_int());
-    entry.last_sent_at = row.cells[4].as_real();
+    entry.seq = static_cast<std::uint64_t>(row.cells[kSeq].as_int());
+    entry.service = row.cells[kService].as_text();
+    entry.payload = row.cells[kPayload].as_text();
+    entry.attempt = static_cast<int>(row.cells[kAttempt].as_int());
+    entry.last_sent_at = row.cells[kLastSentAt].as_real();
     entries.push_back(std::move(entry));
   });
   std::sort(entries.begin(), entries.end(),
@@ -947,80 +1036,76 @@ std::vector<OutboxEntry> DataWarehouse::outbox_entries() const {
 
 void DataWarehouse::set_scheduler_state(const std::string& key,
                                         const std::string& value) {
-  db::Table& table = db_.table("scheduler_state");
-  const db::Row* row = table.find_first("key", Value(key));
+  db::Table& table = *tables_.soft_state;
+  const db::Row* row = table.find_first(soft_col::kKey, Value(key));
   if (row == nullptr) {
     table.insert({Value(key), Value(value)});
     return;
   }
-  if (table.get(row->id, "value").as_text() == value) return;
-  table.update(row->id, "value", Value(value));
+  if (row->cells[soft_col::kValue].as_text() == value) return;
+  table.update(row->id, soft_col::kValue, Value(value));
 }
 
 std::string DataWarehouse::scheduler_state(const std::string& key) const {
-  const db::Table& table = db_.table("scheduler_state");
-  const db::Row* row = table.find_first("key", Value(key));
+  const db::Row* row =
+      tables_.soft_state->find_first(soft_col::kKey, Value(key));
   if (row == nullptr) return "";
-  return table.get(row->id, "value").as_text();
+  return row->cells[soft_col::kValue].as_text();
 }
 
 // --- quotas -----------------------------------------------------------------
 
-db::RowId DataWarehouse::quota_row(UserId user, SiteId site,
-                                   const std::string& resource) const {
-  const db::Table& quotas = db_.table("quotas");
-  for (const db::RowId id : quotas.find_by("user", Value(user.value()))) {
+const db::Row* DataWarehouse::quota_row(UserId user, SiteId site,
+                                        const std::string& resource) const {
+  const db::Table& quotas = *tables_.quotas;
+  for (const db::RowId id :
+       quotas.find_by(quota_col::kUser, Value(user.value()))) {
     const db::Row* row = quotas.find(id);
-    if (static_cast<std::uint64_t>(row->cells[1].as_int()) == site.value() &&
-        row->cells[2].as_text() == resource) {
-      return id;
+    if (site_cell(row->cells[quota_col::kSite]) == site &&
+        row->cells[quota_col::kResource].as_text() == resource) {
+      return row;
     }
   }
-  return db::kInvalidRow;
+  return nullptr;
 }
 
 void DataWarehouse::set_quota(UserId user, SiteId site,
                               const std::string& resource, double limit) {
-  db::Table& quotas = db_.table("quotas");
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) {
-    quotas.insert({Value(user.value()), Value(site.value()), Value(resource),
-                   Value(limit), Value(0.0)});
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) {
+    tables_.quotas->insert({Value(user.value()), Value(site.value()),
+                            Value(resource), Value(limit), Value(0.0)});
   } else {
-    quotas.update(row, "limit", Value(limit));
+    tables_.quotas->update(row->id, quota_col::kLimit, Value(limit));
   }
 }
 
 double DataWarehouse::quota_remaining(UserId user, SiteId site,
                                       const std::string& resource) const {
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const db::Table& quotas = db_.table("quotas");
-  return quotas.get(row, "limit").as_real() -
-         quotas.get(row, "used").as_real();
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) return std::numeric_limits<double>::infinity();
+  return row->cells[quota_col::kLimit].as_real() -
+         row->cells[quota_col::kUsed].as_real();
 }
 
 void DataWarehouse::consume_quota(UserId user, SiteId site,
                                   const std::string& resource, double amount) {
   SPHINX_PRECONDITION(amount >= 0, "quota consumption must be non-negative");
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) return;
-  db::Table& quotas = db_.table("quotas");
-  const double used = quotas.get(row, "used").as_real() + amount;
-  quotas.update(row, "used", Value(used));
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) return;
+  const double used = row->cells[quota_col::kUsed].as_real() + amount;
+  tables_.quotas->update(row->id, quota_col::kUsed, Value(used));
   SPHINX_POSTCONDITION(used >= 0, "quota usage went negative");
 }
 
 void DataWarehouse::refund_quota(UserId user, SiteId site,
                                  const std::string& resource, double amount) {
   SPHINX_PRECONDITION(amount >= 0, "quota refund must be non-negative");
-  const db::RowId row = quota_row(user, site, resource);
-  if (row == db::kInvalidRow) return;
-  db::Table& quotas = db_.table("quotas");
-  const double used = quotas.get(row, "used").as_real() - amount;
-  quotas.update(row, "used", Value(used < 0 ? 0.0 : used));
+  const db::Row* row = quota_row(user, site, resource);
+  if (row == nullptr) return;
+  const double used = row->cells[quota_col::kUsed].as_real() - amount;
+  tables_.quotas->update(row->id, quota_col::kUsed,
+                         Value(used < 0 ? 0.0 : used));
 }
 
 // --- contracts --------------------------------------------------------------
@@ -1031,7 +1116,7 @@ void DataWarehouse::check_invariants() const {
 
   // Jobs: state text parses, outstanding jobs are placed and attempted.
   std::unordered_map<std::uint64_t, std::int64_t> jobs_per_dag;
-  db_.table("jobs").for_each([&](const db::Row& row) {
+  tables_.jobs->for_each([&](const db::Row& row) {
     JobRecord job;
     try {
       job = decode_job(row);
@@ -1052,7 +1137,7 @@ void DataWarehouse::check_invariants() const {
   // DAGs: state text parses, finish times are coherent, and the recorded
   // job total matches the job table (journal/table consistency: both are
   // rebuilt from the same journal on recovery).
-  db_.table("dags").for_each([&](const db::Row& row) {
+  tables_.dags->for_each([&](const db::Row& row) {
     DagRecord dag;
     try {
       dag = decode_dag(row);
@@ -1073,11 +1158,11 @@ void DataWarehouse::check_invariants() const {
 
   // Site statistics: counters never regress below zero; an empty sample
   // set cannot carry an average.
-  db_.table("site_stats").for_each([&](const db::Row& row) {
-    const std::int64_t completed = row.cells[1].as_int();
-    const std::int64_t cancelled = row.cells[2].as_int();
-    const double avg = row.cells[3].as_real();
-    const std::int64_t samples = row.cells[4].as_int();
+  tables_.site_stats->for_each([&](const db::Row& row) {
+    const std::int64_t completed = row.cells[stats_col::kCompleted].as_int();
+    const std::int64_t cancelled = row.cells[stats_col::kCancelled].as_int();
+    const double avg = row.cells[stats_col::kAvgCompletion].as_real();
+    const std::int64_t samples = row.cells[stats_col::kSamples].as_int();
     SPHINX_INVARIANT(completed >= 0 && cancelled >= 0 && samples >= 0,
                      "site statistics counter went negative");
     SPHINX_INVARIANT(avg >= 0 && !std::isnan(avg),
@@ -1087,10 +1172,10 @@ void DataWarehouse::check_invariants() const {
   });
 
   // Quotas: limits and usage are non-negative.
-  db_.table("quotas").for_each([&](const db::Row& row) {
-    SPHINX_INVARIANT(row.cells[3].as_real() >= 0,
+  tables_.quotas->for_each([&](const db::Row& row) {
+    SPHINX_INVARIANT(row.cells[quota_col::kLimit].as_real() >= 0,
                      "quota limit went negative");
-    SPHINX_INVARIANT(row.cells[4].as_real() >= 0,
+    SPHINX_INVARIANT(row.cells[quota_col::kUsed].as_real() >= 0,
                      "quota usage went negative");
   });
 
@@ -1098,7 +1183,7 @@ void DataWarehouse::check_invariants() const {
   // sites differ, at most one race per job is open, and an open race's
   // job row still tracks the replica attempt.
   std::unordered_set<std::uint64_t> racing_jobs;
-  db_.table("speculations").for_each([&](const db::Row& row) {
+  tables_.speculations->for_each([&](const db::Row& row) {
     SpeculationRecord rec;
     try {
       rec = decode_speculation(row);
@@ -1127,10 +1212,11 @@ void DataWarehouse::check_invariants() const {
   // Runtime sample rings: non-negative values, ring bound respected.
   {
     std::map<std::pair<std::int64_t, std::int64_t>, std::size_t> ring_sizes;
-    db_.table("runtime_samples").for_each([&](const db::Row& row) {
-      SPHINX_INVARIANT(row.cells[2].as_real() >= 0,
+    tables_.runtime_samples->for_each([&](const db::Row& row) {
+      SPHINX_INVARIANT(row.cells[sample_col::kRuntime].as_real() >= 0,
                        "runtime sample went negative");
-      ++ring_sizes[{row.cells[0].as_int(), row.cells[1].as_int()}];
+      ++ring_sizes[{row.cells[sample_col::kSite].as_int(),
+                    row.cells[sample_col::kClass].as_int()}];
     });
     for (const auto& [key, size] : ring_sizes) {
       SPHINX_INVARIANT(size <= kMaxRuntimeSamples,
@@ -1142,13 +1228,11 @@ void DataWarehouse::check_invariants() const {
   // fresh scan, and every queued dirty row names a live, unfinished DAG.
   SPHINX_INVARIANT(outstanding_ == scan_outstanding_by_site(),
                    "live outstanding counters diverged from the jobs table");
-  const db::Table& dags = db_.table("dags");
-  const std::size_t dag_state_col = dags.schema().index_of("state");
   for (const db::RowId row_id : dirty_rows_) {
-    const db::Row* row = dags.find(row_id);
+    const db::Row* row = tables_.dags->find(row_id);
     SPHINX_INVARIANT(row != nullptr, "dirty queue names a missing dag row");
     SPHINX_INVARIANT(
-        dag_state_from(row->cells[dag_state_col].as_text()) !=
+        dag_state_from(row->cells[dag_col::kState].as_text()) !=
             DagState::kFinished,
         "dirty queue holds a finished dag");
   }

@@ -339,8 +339,31 @@ class DataWarehouse {
   void check_dag_invariants(DagId id) const;
 
  private:
+  /// Handles on the warehouse's tables, in creation order.  Resolved by
+  /// name once -- after the schema is created or recovered -- and used on
+  /// every call path.
+  struct Tables {
+    db::Table* dags = nullptr;
+    db::Table* jobs = nullptr;
+    db::Table* job_inputs = nullptr;
+    db::Table* job_deps = nullptr;
+    db::Table* site_stats = nullptr;
+    db::Table* quotas = nullptr;
+    db::Table* soft_state = nullptr;  ///< "scheduler_state"
+    db::Table* rpc_outbox = nullptr;
+    db::Table* speculations = nullptr;
+    db::Table* runtime_samples = nullptr;
+    db::Table* work_queue = nullptr;
+  };
+
   explicit DataWarehouse(bool create_schema);
   void create_schema();
+  /// Points tables_ at the database's tables; a recover_schema error when
+  /// one is missing or its columns differ from the declared schema.
+  [[nodiscard]] StatusOrError resolve_tables();
+  /// The common tail of both recover_from() overloads, after the database
+  /// content is back: resolve, rebuild the work state, sweep once.
+  [[nodiscard]] StatusOrError finish_recovery();
   /// Rebuilds the outstanding counters from the recovered tables and the
   /// dirty queue by replaying the enqueue/clear rules over the journal
   /// (drain-ledger updates mark where sweeps cleared it) -- the queue is
@@ -349,11 +372,14 @@ class DataWarehouse {
   [[nodiscard]] static JobRecord decode_job(const db::Row& row);
   [[nodiscard]] static DagRecord decode_dag(const db::Row& row);
   [[nodiscard]] static SpeculationRecord decode_speculation(const db::Row& row);
-  [[nodiscard]] db::RowId site_stats_row(SiteId site) const;
-  db::RowId quota_row(UserId user, SiteId site,
-                      const std::string& resource) const;
+  [[nodiscard]] const db::Row* dag_row(DagId id) const;
+  [[nodiscard]] const db::Row* job_row(JobId id) const;
+  [[nodiscard]] const db::Row* site_stats_row(SiteId site) const;
+  [[nodiscard]] const db::Row* quota_row(UserId user, SiteId site,
+                                         const std::string& resource) const;
 
   db::Database db_;
+  Tables tables_;  // sphinx-lint: derived(resolve_tables)
   /// Dirty-DAG work queue, keyed by dags-table row id so draining yields
   /// insertion order.  Derived state: never journaled, rebuilt on
   /// recovery by rebuild_work_state().  The annotation below lets

@@ -65,7 +65,7 @@ Table& Database::create_table(const std::string& name, Schema schema) {
     journal_.append(std::move(entry));
   }
   auto table = std::make_unique<Table>(name, std::move(schema));
-  table->set_observer(this);
+  table->set_observer(this, tables_.size());
   Table& ref = *table;
   slots_.emplace(name, tables_.size());
   tables_.push_back(std::move(table));
@@ -102,7 +102,7 @@ std::vector<std::string> Database::table_names() const {
 }
 
 StatusOrError Database::recover(const Journal& journal,
-                                std::uint64_t from_seq) {
+                                std::uint64_t from_seq, Sweep sweep) {
   if (from_seq == 0 && !tables_.empty()) {
     return make_error("recover_nonempty",
                       "recover() requires an empty database");
@@ -171,7 +171,8 @@ StatusOrError Database::recover(const Journal& journal,
   }
   journaling_ = was_journaling;
   journal_.adopt_suffix(journal, from_seq);
-  check_invariants();  // a replayed store must be as sound as the original
+  // A replayed store must be as sound as the original.
+  if (sweep == Sweep::kNow) check_invariants();
   return {};
 }
 
@@ -249,7 +250,7 @@ void Database::append_rows(const Table& table, std::string_view previous,
   image.imaged = true;
 }
 
-StatusOrError Database::restore(const std::string& snapshot) {
+StatusOrError Database::restore(const std::string& snapshot, Sweep sweep) {
   if (!tables_.empty()) {
     return make_error("restore_nonempty",
                       "restore() requires an empty database");
@@ -344,7 +345,7 @@ StatusOrError Database::restore(const std::string& snapshot) {
   if (!saw_header) return fail("empty snapshot");
   if (!finish_table()) return bad_cursor();
   journaling_ = was_journaling;
-  check_invariants();
+  if (sweep == Sweep::kNow) check_invariants();
   return {};
 }
 
@@ -378,47 +379,47 @@ void Database::check_invariants() const {
 #endif
 }
 
-void Database::mark_stale(const std::string& table, RowId id) {
+void Database::mark_stale(std::size_t slot, RowId id) {
   // Before the first image there is nothing to patch: it encodes every
   // row, and so does the first image of a table created after it.
   if (image_.empty()) return;
-  TableImage& image = images_[slots_.at(table)];
+  TableImage& image = images_[slot];
   if (image.imaged && (image.stale.empty() || image.stale.back() != id)) {
     image.stale.push_back(id);
   }
 }
 
-void Database::on_insert(const std::string& table, RowId id,
+void Database::on_insert(std::size_t slot, RowId id,
                          const std::vector<Value>& cells) {
-  mark_stale(table, id);
+  mark_stale(slot, id);
   if (!journaling_) return;
   JournalEntry entry;
   entry.op = JournalEntry::Op::kInsert;
-  entry.table = table;
+  entry.table = tables_[slot]->name();
   entry.row = id;
   entry.cells = cells;
   journal_.append(std::move(entry));
 }
 
-void Database::on_update(const std::string& table, RowId id,
-                         std::size_t column, const Value& value) {
-  mark_stale(table, id);
+void Database::on_update(std::size_t slot, RowId id, std::size_t column,
+                         const Value& value) {
+  mark_stale(slot, id);
   if (!journaling_) return;
   JournalEntry entry;
   entry.op = JournalEntry::Op::kUpdate;
-  entry.table = table;
+  entry.table = tables_[slot]->name();
   entry.row = id;
   entry.column = column;
   entry.cells = {value};
   journal_.append(std::move(entry));
 }
 
-void Database::on_erase(const std::string& table, RowId id) {
-  mark_stale(table, id);
+void Database::on_erase(std::size_t slot, RowId id) {
+  mark_stale(slot, id);
   if (!journaling_) return;
   JournalEntry entry;
   entry.op = JournalEntry::Op::kErase;
-  entry.table = table;
+  entry.table = tables_[slot]->name();
   entry.row = id;
   journal_.append(std::move(entry));
 }

@@ -50,6 +50,12 @@ class Database : private TableObserver {
   /// would double-log, so recover() and restore() disable it internally.
   void set_journaling(bool on) noexcept { journaling_ = on; }
 
+  /// Whether restore() and recover() end with the check_invariants()
+  /// sweep.  kByCaller is for a caller that sweeps this database itself
+  /// once its whole recovery is done, so that a recovery (restore, then
+  /// suffix replay, then the caller's own checks) sweeps the store once.
+  enum class Sweep { kNow, kByCaller };
+
   /// Deterministic, byte-stable image of the whole store: table schemas
   /// (creation order, with their index declarations), rows (id order)
   /// and each table's id-allocation cursor.  A pure function of the
@@ -72,8 +78,10 @@ class Database : private TableObserver {
   /// journal suffix it wants replayed on top (see recover()).  A
   /// malformed image (bad encoding, a row that does not fit its schema,
   /// a bad or repeated row id, a cursor at or below a row id) returns a
-  /// restore_parse error; it never throws.
-  [[nodiscard]] StatusOrError restore(const std::string& snapshot);
+  /// restore_parse error; it never throws.  Ends with the
+  /// check_invariants() sweep unless `sweep` is kByCaller.
+  [[nodiscard]] StatusOrError restore(const std::string& snapshot,
+                                      Sweep sweep = Sweep::kNow);
 
   /// Rebuilds database content by replaying the entries of `journal`
   /// whose sequence number is >= from_seq.  With from_seq == 0 (full
@@ -84,8 +92,10 @@ class Database : private TableObserver {
   /// entries -- so a recovered server remains recoverable.  An entry that
   /// cannot apply (missing table or row, cells that do not fit the
   /// schema, a bad or repeated row id) returns a recover_replay error.
+  /// Ends with the check_invariants() sweep unless `sweep` is kByCaller.
   [[nodiscard]] StatusOrError recover(const Journal& journal,
-                                      std::uint64_t from_seq = 0);
+                                      std::uint64_t from_seq = 0,
+                                      Sweep sweep = Sweep::kNow);
 
   /// Structural sweep across the store: every table passes its own
   /// check_invariants(), the name map and creation order agree, the
@@ -114,19 +124,19 @@ class Database : private TableObserver {
   };
 
   [[nodiscard]] Table* find_table(const std::string& name) const noexcept;
-  /// Notes that row `id` of `table` no longer matches the last image.
-  void mark_stale(const std::string& table, RowId id);
+  /// Notes that row `id` of table `slot` no longer matches the last image.
+  void mark_stale(std::size_t slot, RowId id);
   /// Appends `table`'s row lines to `out`: unchanged rows copied from
   /// `previous` (the last image), stale ones re-encoded.  Leaves `image`
   /// describing the new lines.
   static void append_rows(const Table& table, std::string_view previous,
                           TableImage& image, std::string& out);
 
-  void on_insert(const std::string& table, RowId id,
+  void on_insert(std::size_t slot, RowId id,
                  const std::vector<Value>& cells) override;
-  void on_update(const std::string& table, RowId id, std::size_t column,
+  void on_update(std::size_t slot, RowId id, std::size_t column,
                  const Value& value) override;
-  void on_erase(const std::string& table, RowId id) override;
+  void on_erase(std::size_t slot, RowId id) override;
 
   std::vector<std::unique_ptr<Table>> tables_;  // creation order
   std::unordered_map<std::string, std::size_t> slots_;  // name -> tables_ index

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -33,6 +32,8 @@ struct Column {
   /// part of the schema, so it is journaled with kCreateTable entries and
   /// recovery rebuilds the same indexes automatically.
   bool indexed = false;
+
+  friend bool operator==(const Column&, const Column&) = default;
 };
 
 /// Shorthand for declaring an indexed column in a schema literal.
@@ -75,32 +76,48 @@ struct Row {
 };
 
 /// Observer invoked on every committed mutation; the journal subscribes.
+/// `slot` is the number the observer gave the table in set_observer(),
+/// so it can find its bookkeeping for the table without a name lookup.
 struct TableObserver {
   virtual ~TableObserver() = default;
-  virtual void on_insert(const std::string& table, RowId id,
+  virtual void on_insert(std::size_t slot, RowId id,
                          const std::vector<Value>& cells) = 0;
-  virtual void on_update(const std::string& table, RowId id,
-                         std::size_t column, const Value& value) = 0;
-  virtual void on_erase(const std::string& table, RowId id) = 0;
+  virtual void on_update(std::size_t slot, RowId id, std::size_t column,
+                         const Value& value) = 0;
+  virtual void on_erase(std::size_t slot, RowId id) = 0;
 };
 
 /// One table.  Insertions get monotonically increasing RowIds; indexes are
 /// hash indexes on a single column maintained incrementally.  Columns
 /// marked `indexed` in the schema get their index at construction.
+///
+/// Rows sit in one id-ordered vector.  An erased row leaves a hole that
+/// iteration skips, until holes outnumber live rows and the vector is
+/// compacted; a row erased from the back leaves none.  An open-addressing
+/// table from id to vector position makes find() O(1).  Iteration is
+/// O(live rows) and memory O(peak live rows), however many rows a
+/// churning table has seen.
+///
+/// Columns are addressed by schema position; callers resolve a name once
+/// with Schema::index_of.
 class Table {
  public:
   Table(std::string name, Schema schema);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const Schema& schema() const noexcept { return schema_; }
-  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return rows_.size() - holes_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
   /// Inserts a row; returns its id.  Throws AssertionError on schema
   /// mismatch (callers construct rows from typed code, not user input).
   RowId insert(std::vector<Value> cells);
 
   /// Inserts preserving a specific id -- used only by journal replay.
+  /// An id below the newest row's costs O(rows); replay and restore
+  /// insert in id order, which appends.
   void insert_with_id(RowId id, std::vector<Value> cells);
 
   /// The id the next insert() will allocate.  Part of the table's
@@ -114,36 +131,35 @@ class Table {
   /// erased before the snapshot).
   void restore_next_id(RowId next_id);
 
-  /// Updates one cell.  Returns false if the row does not exist.
-  bool update(RowId id, const std::string& column, Value value);
+  /// Updates one cell.  Returns false if the row does not exist.  Only
+  /// the index on `column`, if it has one, changes.
   bool update(RowId id, std::size_t column, Value value);
 
   /// Removes a row.  Returns false if absent.
   bool erase(RowId id);
 
-  /// Row lookup; nullptr if absent.  Pointer invalidated by mutations.
+  /// Row lookup; nullptr if absent.  Pointer invalidated by inserts and
+  /// erases (update() leaves it valid).
   [[nodiscard]] const Row* find(RowId id) const;
-
-  /// Reads one cell; throws if the row is missing.
-  [[nodiscard]] const Value& get(RowId id, const std::string& column) const;
 
   /// Declares a hash index on `column` (idempotent).
   void create_index(const std::string& column);
 
-  /// All row ids whose `column` equals `value`.  Uses the index when one
-  /// exists, otherwise scans.  Ids are returned in id (= insertion)
-  /// order on both paths: index buckets are kept id-ordered so query
+  /// All row ids whose `column` equals `value` (Value's ==, so a NaN key
+  /// matches nothing and 0.0 matches -0.0).  Uses the index when one
+  /// exists, otherwise scans; both paths return the same ids, in id (=
+  /// insertion) order: index buckets are kept id-ordered so query
   /// results are a function of table *state*, never of update history
   /// (checkpoint restore rebuilds buckets from rows alone and must
   /// reproduce the live instance's iteration order exactly).
-  [[nodiscard]] std::vector<RowId> find_by(const std::string& column,
+  [[nodiscard]] std::vector<RowId> find_by(std::size_t column,
                                            const Value& value) const;
 
   /// First (lowest-id) row whose `column` equals `value`; nullptr when no
   /// row matches.  The hot-path accessor for unique-key lookups: unlike
   /// find_by it does not materialize an id vector.  Pointer invalidated
-  /// by mutations.
-  [[nodiscard]] const Row* find_first(const std::string& column,
+  /// like find()'s.
+  [[nodiscard]] const Row* find_first(std::size_t column,
                                       const Value& value) const;
 
   /// Row ids matching an arbitrary predicate, in insertion order.
@@ -154,10 +170,14 @@ class Table {
   void for_each(const std::function<void(const Row&)>& fn) const;
 
   /// Number of rows whose `column` equals `value`.
-  [[nodiscard]] std::size_t count_by(const std::string& column,
+  [[nodiscard]] std::size_t count_by(std::size_t column,
                                      const Value& value) const;
 
-  void set_observer(TableObserver* observer) noexcept { observer_ = observer; }
+  /// Reports every mutation to `observer` as table number `slot`.
+  void set_observer(TableObserver* observer, std::size_t slot) noexcept {
+    observer_ = observer;
+    observer_slot_ = slot;
+  }
 
   /// Queries that fell back to a full table scan because the column had
   /// no index (counted only in contract-enabled builds).  A hot-path
@@ -167,29 +187,63 @@ class Table {
     return full_scans_;
   }
 
-  /// Structural sweep: every row matches the schema, row ids stay below
-  /// the allocation cursor, and every index bucket mirrors the rows it
-  /// claims to cover.  Throws ContractViolation on corruption; a no-op
-  /// when contracts are compiled out.
+  /// Structural sweep: rows are id-ordered, match the schema and stay
+  /// below the allocation cursor, every row is found under its id, and
+  /// every index bucket mirrors the rows it claims to cover.  Throws
+  /// ContractViolation on corruption; a no-op when contracts are
+  /// compiled out.
   void check_invariants() const;
 
  private:
   friend struct TableInspector;  // test-only fault injection
-  void index_insert(const Row& row);
-  void index_erase(const Row& row);
+  /// Index key hashing and equality.  Equality is Value's == except that
+  /// NaN matches NaN, so a row with a NaN cell can always be found again
+  /// to move or erase it; queries for NaN still match nothing, like the
+  /// scan.  The hash maps 0.0 and -0.0 together, as == does.
+  struct KeyHash {
+    std::size_t operator()(const Value& v) const noexcept;
+  };
+  struct KeyEq {
+    bool operator()(const Value& a, const Value& b) const noexcept;
+  };
+  /// Key -> ids of the rows holding it, id-ordered.
+  using Index = std::unordered_map<Value, std::vector<RowId>, KeyHash, KeyEq>;
+  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
+
+  [[nodiscard]] const Index* index_on(std::size_t column) const {
+    return indexes_[column] ? &*indexes_[column] : nullptr;
+  }
+  /// Position in slots_ of the entry for `id`, or slots_.size() if none.
+  [[nodiscard]] std::size_t slot_of(RowId id) const noexcept;
+  /// Adds the slots_ entry for the row at rows_[pos].
+  void place(std::size_t pos) noexcept;
+  /// Removes the slots_ entry at `slot`, shifting its probe chain back.
+  void unplace(std::size_t slot) noexcept;
+  /// Drops the holes from rows_ and rebuilds slots_ sized for the rest.
+  void reindex();
+  /// Stores a new row under `id` (absent so far), indexes it and tells
+  /// the observer.
+  void add(RowId id, std::vector<Value> cells);
+  void index_insert(std::size_t column, const Value& key, RowId id);
+  void index_erase(std::size_t column, const Value& key, RowId id);
   void note_full_scan(std::size_t column) const;
 
   std::string name_;
   Schema schema_;
-  std::map<RowId, Row> rows_;  // ordered: insertion order == id order
+  /// Rows in id order; an erased row's hole has id kInvalidRow.  The
+  /// last element is never a hole.
+  std::vector<Row> rows_;
+  std::size_t holes_ = 0;
+  /// Open addressing (linear probing, load <= 1/2) from a row id to its
+  /// position in rows_; kNoRow marks a free slot.  Probing starts at
+  /// id & (size - 1), so densely allocated ids never collide.
+  std::vector<std::uint32_t> slots_;
   RowId next_id_ = 1;
-  // column index -> (value text+type key -> row ids).  The outer map is
-  // ordered so per-index maintenance loops replay identically (rule
-  // ordered-escape); the inner bucket map is only probed, never walked
-  // in an order-sensitive way.
-  std::map<std::size_t, std::unordered_map<std::string, std::vector<RowId>>>
-      indexes_;
+  /// Per column: its index, if it has one.
+  std::vector<std::optional<Index>> indexes_;
+  std::vector<std::size_t> indexed_columns_;  // ascending
   TableObserver* observer_ = nullptr;
+  std::size_t observer_slot_ = 0;
   mutable std::uint64_t full_scans_ = 0;
   mutable std::vector<bool> scan_logged_;  // per column, first-scan log gate
 };

@@ -44,9 +44,6 @@ class Value {
   [[nodiscard]] const std::string& as_text() const;
   [[nodiscard]] bool as_bool() const;
 
-  /// Canonical text form, used by the journal serialization.
-  [[nodiscard]] std::string to_string() const;
-
   friend bool operator==(const Value& a, const Value& b) noexcept {
     return a.data_ == b.data_;
   }

@@ -36,10 +36,13 @@ namespace sphinx::db {
 /// Test-only back door into the table store.
 struct TableInspector {
   static void append_phantom_cell(Table& table, RowId id) {
-    table.rows_.at(id).cells.emplace_back();  // arity now violates schema
+    // arity now violates schema
+    table.rows_.at(table.slots_.at(table.slot_of(id))).cells.emplace_back();
   }
   static void add_phantom_index_entry(Table& table) {
-    table.indexes_.begin()->second.begin()->second.push_back(RowId{9999});
+    table.indexes_.at(table.indexed_columns_.front())
+        ->begin()
+        ->second.push_back(RowId{9999});
   }
 };
 
@@ -148,20 +151,22 @@ TEST(Contracts, WarehouseDetectsUnparseableJobState) {
   EXPECT_NO_THROW(wh.check_invariants());
   // "bogus" is schema-valid text, so the table layer accepts it; only the
   // warehouse-level sweep knows it is not a job state.
+  db::Table& jobs = wh.database().table("jobs");
   const auto rows =
-      wh.database().table("jobs").find_by("job_id", Value(std::uint64_t{101}));
+      jobs.find_by(jobs.schema().index_of("job_id"), Value(std::uint64_t{101}));
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("jobs").update(rows.front(), "state", Value("bogus"));
+  jobs.update(rows.front(), jobs.schema().index_of("state"), Value("bogus"));
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
 TEST(Contracts, WarehouseDetectsJobCountDrift) {
   DataWarehouse wh;
   wh.insert_dag(one_job_dag(), "c", UserId(1), 0.0);
+  db::Table& jobs = wh.database().table("jobs");
   const auto rows =
-      wh.database().table("jobs").find_by("job_id", Value(std::uint64_t{101}));
+      jobs.find_by(jobs.schema().index_of("job_id"), Value(std::uint64_t{101}));
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("jobs").erase(rows.front());
+  jobs.erase(rows.front());
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -172,8 +177,9 @@ TEST(Contracts, WarehouseDetectsNegativeSiteStats) {
   const auto rows = wh.database().table("site_stats").select(
       [](const db::Row&) { return true; });
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("site_stats").update(rows.front(), "completed",
-                                           Value(std::int64_t{-1}));
+  db::Table& stats = wh.database().table("site_stats");
+  stats.update(rows.front(), stats.schema().index_of("completed"),
+               Value(std::int64_t{-1}));
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
 }
 
@@ -185,8 +191,29 @@ TEST(Contracts, WarehouseDetectsNegativeQuotaUsage) {
   const auto rows = wh.database().table("quotas").select(
       [](const db::Row&) { return true; });
   ASSERT_EQ(rows.size(), 1u);
-  wh.database().table("quotas").update(rows.front(), "used", Value(-1.0));
+  db::Table& quotas = wh.database().table("quotas");
+  quotas.update(rows.front(), quotas.schema().index_of("used"), Value(-1.0));
   EXPECT_THROW(wh.check_invariants(), ContractViolation);
+}
+
+TEST(Contracts, RecoverySweepsTheRecoveredState) {
+  // restore() and the suffix replay leave their sweep to the warehouse,
+  // whose one sweep must still cover what each of them would have caught.
+  DataWarehouse wh;
+  wh.record_completion(SiteId(7), 12.0);
+  wh.checkpoint(1.0);
+  db::Table& stats = wh.database().table("site_stats");
+  const auto rows = stats.select([](const db::Row&) { return true; });
+  ASSERT_EQ(rows.size(), 1u);
+  stats.update(rows.front(), stats.schema().index_of("completed"),
+               Value(std::int64_t{-1}));
+  EXPECT_THROW((void)DataWarehouse::recover_from(*wh.checkpoint_image(),
+                                                 wh.journal()),
+               ContractViolation);
+  wh.checkpoint(2.0);  // the corruption now sits in the image itself
+  EXPECT_THROW((void)DataWarehouse::recover_from(*wh.checkpoint_image(),
+                                                 wh.journal()),
+               ContractViolation);
 }
 
 TEST(Contracts, QuotaApiRejectsNegativeAmounts) {
@@ -232,7 +259,7 @@ TEST(Contracts, TableRejectsTypeConfusedUpdate) {
   db::Database db;
   db.create_table("t", db::Schema{{"a", db::ValueType::kInt}});
   const auto id = db.table("t").insert({Value(std::int64_t{1})});
-  EXPECT_THROW(db.table("t").update(id, "a", Value("not an int")),
+  EXPECT_THROW(db.table("t").update(id, 0, Value("not an int")),
                AssertionError);
 }
 

@@ -204,6 +204,16 @@ TEST(Warehouse, RecoverySurvivesTextSerialization) {
   EXPECT_EQ((*recovered)->job(JobId(101))->site, SiteId(2));
 }
 
+TEST(Warehouse, RecoveryRejectsAForeignSchema) {
+  // A journal whose tables are not the warehouse's own cannot be bound to
+  // its resolved table handles.
+  db::Database foreign;
+  foreign.create_table("dags", db::Schema{{"dag_id", db::ValueType::kInt}});
+  const auto recovered = DataWarehouse::recover_from(foreign.journal());
+  ASSERT_FALSE(recovered.has_value());
+  EXPECT_EQ(recovered.error().code, "recover_schema");
+}
+
 TEST(Warehouse, DirtyQueueDrivesTheSweep) {
   DataWarehouse wh;
   // Submission enqueues the DAG.

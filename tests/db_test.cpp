@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <sstream>
 
 #include "common/contracts.hpp"
+#include "common/strings.hpp"
 #include "core/warehouse.hpp"
 #include "db/database.hpp"
 #include "db/encoding.hpp"
@@ -20,6 +22,18 @@
 
 namespace sphinx::db {
 namespace {
+
+/// Column position by name, resolved once per call like the code does.
+std::size_t col(const Table& t, const std::string& name) {
+  return t.schema().index_of(name);
+}
+
+/// One cell of a row that must exist.
+const Value& cell(const Table& t, RowId id, const std::string& name) {
+  const Row* row = t.find(id);
+  EXPECT_NE(row, nullptr) << "row " << id << " missing";
+  return row->cells.at(col(t, name));
+}
 
 Schema jobs_schema() {
   return Schema{{"name", ValueType::kText},
@@ -91,15 +105,15 @@ TEST(Table, InsertFindUpdateErase) {
   EXPECT_EQ(t.size(), 1u);
 
   ASSERT_NE(t.find(id), nullptr);
-  EXPECT_EQ(t.get(id, "state").as_text(), "ready");
+  EXPECT_EQ(cell(t, id, "state").as_text(), "ready");
 
-  EXPECT_TRUE(t.update(id, "state", Value("planned")));
-  EXPECT_EQ(t.get(id, "state").as_text(), "planned");
+  EXPECT_TRUE(t.update(id, col(t, "state"), Value("planned")));
+  EXPECT_EQ(cell(t, id, "state").as_text(), "planned");
 
   EXPECT_TRUE(t.erase(id));
   EXPECT_EQ(t.find(id), nullptr);
   EXPECT_FALSE(t.erase(id));
-  EXPECT_FALSE(t.update(id, "state", Value("x")));
+  EXPECT_FALSE(t.update(id, col(t, "state"), Value("x")));
 }
 
 TEST(Table, SchemaEnforcedOnInsert) {
@@ -128,9 +142,52 @@ TEST(Table, FindByScanAndIndexAgree) {
     indexed.insert(
         {Value("j"), Value(state), Value(i), Value(0.0), Value(false)});
   }
-  EXPECT_EQ(scan.find_by("state", Value("ready")),
-            indexed.find_by("state", Value("ready")));
-  EXPECT_EQ(indexed.count_by("state", Value("ready")), 10u);
+  EXPECT_EQ(scan.find_by(col(scan, "state"), Value("ready")),
+            indexed.find_by(col(indexed, "state"), Value("ready")));
+  EXPECT_EQ(indexed.count_by(col(indexed, "state"), Value("ready")), 10u);
+
+  // Keys whose equality is easy to get wrong: tiny and signed-zero reals,
+  // NaN, and 1 vs "1" vs true vs 1.0 in an untyped column.  Each indexed
+  // query must return exactly what the scan returns.
+  const Schema mixed{{"r", ValueType::kReal}, {"any", ValueType::kNull}};
+  Table plain("mixed", mixed);
+  Table keyed("mixed", mixed);
+  keyed.create_index("r");
+  keyed.create_index("any");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> cells = {Value(1e-10), Value(-0.0), Value(2e-10),
+                                    Value(nan),   Value(1),    Value("1"),
+                                    Value(true),  Value(1.0),  Value()};
+  for (const Value& v : cells) {
+    const Value real = v.type() == ValueType::kReal ? v : Value(0.5);
+    plain.insert({real, v});
+    keyed.insert({real, v});
+  }
+  const std::vector<Value> probes = {Value(1e-10), Value(2e-10), Value(0.0),
+                                     Value(-0.0),  Value(nan),   Value(1),
+                                     Value("1"),   Value(true),  Value(1.0),
+                                     Value(),      Value(0.5)};
+  for (const char* name : {"r", "any"}) {
+    const std::size_t column = col(plain, name);
+    for (const Value& probe : probes) {
+      SCOPED_TRACE(std::string(name) + " probe of type " +
+                   to_string(probe.type()));
+      const std::vector<RowId> expected = plain.find_by(column, probe);
+      EXPECT_EQ(keyed.find_by(column, probe), expected);
+      EXPECT_EQ(keyed.count_by(column, probe), expected.size());
+      const Row* first = keyed.find_first(column, probe);
+      EXPECT_EQ(first == nullptr ? kInvalidRow : first->id,
+                expected.empty() ? kInvalidRow : expected.front());
+    }
+  }
+  // The cases the %.9f-keyed index used to get wrong.
+  EXPECT_TRUE(keyed.find_by(col(keyed, "r"), Value(2e-10)) ==
+              std::vector<RowId>{3});
+  EXPECT_TRUE(keyed.find_by(col(keyed, "r"), Value(0.0)) == std::vector<RowId>{2});
+  // A NaN row stays reachable for updates and erases.
+  EXPECT_TRUE(keyed.update(4, 0, Value(7.0)));
+  EXPECT_TRUE(keyed.erase(4));
+  keyed.check_invariants();
 }
 
 TEST(Table, IndexMaintainedAcrossUpdates) {
@@ -138,12 +195,12 @@ TEST(Table, IndexMaintainedAcrossUpdates) {
   t.create_index("state");
   const RowId id =
       t.insert({Value("j"), Value("ready"), Value(1), Value(0.0), Value(false)});
-  EXPECT_EQ(t.count_by("state", Value("ready")), 1u);
-  t.update(id, "state", Value("planned"));
-  EXPECT_EQ(t.count_by("state", Value("ready")), 0u);
-  EXPECT_EQ(t.count_by("state", Value("planned")), 1u);
+  EXPECT_EQ(t.count_by(col(t, "state"), Value("ready")), 1u);
+  t.update(id, col(t, "state"), Value("planned"));
+  EXPECT_EQ(t.count_by(col(t, "state"), Value("ready")), 0u);
+  EXPECT_EQ(t.count_by(col(t, "state"), Value("planned")), 1u);
   t.erase(id);
-  EXPECT_EQ(t.count_by("state", Value("planned")), 0u);
+  EXPECT_EQ(t.count_by(col(t, "state"), Value("planned")), 0u);
 }
 
 TEST(Table, IndexCreatedAfterInsertsBackfills) {
@@ -152,7 +209,7 @@ TEST(Table, IndexCreatedAfterInsertsBackfills) {
     t.insert({Value("j"), Value("ready"), Value(i), Value(0.0), Value(false)});
   }
   t.create_index("state");
-  EXPECT_EQ(t.count_by("state", Value("ready")), 5u);
+  EXPECT_EQ(t.count_by(col(t, "state"), Value("ready")), 5u);
 }
 
 TEST(Table, SelectPredicate) {
@@ -195,7 +252,7 @@ TEST(Database, JournalRecordsMutations) {
   Table& t = d.create_table("jobs", jobs_schema());
   const RowId id =
       t.insert({Value("j"), Value("ready"), Value(1), Value(0.0), Value(false)});
-  t.update(id, "state", Value("planned"));
+  t.update(id, col(t, "state"), Value("planned"));
   t.erase(id);
   // create + insert + update + erase
   EXPECT_EQ(d.journal().size(), 4u);
@@ -211,8 +268,8 @@ TEST(Database, RecoverRebuildsExactState) {
                                Value(false)}));
   }
   for (int i = 0; i < 20; i += 2) {
-    jobs.update(ids[i], "state", Value("completed"));
-    jobs.update(ids[i], "done", Value(true));
+    jobs.update(ids[i], col(jobs, "state"), Value("completed"));
+    jobs.update(ids[i], col(jobs, "done"), Value(true));
   }
   jobs.erase(ids[3]);
   jobs.erase(ids[5]);
@@ -221,9 +278,9 @@ TEST(Database, RecoverRebuildsExactState) {
   ASSERT_TRUE(recovered.recover(original.journal()).ok());
   const Table& r = recovered.table("jobs");
   EXPECT_EQ(r.size(), 18u);
-  EXPECT_EQ(r.get(ids[0], "state").as_text(), "completed");
-  EXPECT_TRUE(r.get(ids[0], "done").as_bool());
-  EXPECT_EQ(r.get(ids[1], "state").as_text(), "ready");
+  EXPECT_EQ(cell(r, ids[0], "state").as_text(), "completed");
+  EXPECT_TRUE(cell(r, ids[0], "done").as_bool());
+  EXPECT_EQ(cell(r, ids[1], "state").as_text(), "ready");
   EXPECT_EQ(r.find(ids[3]), nullptr);
 }
 
@@ -355,7 +412,7 @@ TEST(Journal, SerializeParseRoundTrip) {
   const RowId id = t.insert({Value("has\ttab and \\slash\nnewline"),
                              Value("ready"), Value(-7), Value(3.25),
                              Value(true)});
-  t.update(id, "state", Value("planned"));
+  t.update(id, col(t, "state"), Value("planned"));
   t.erase(id);
 
   const std::string text = d.journal().serialize();
@@ -415,11 +472,11 @@ TEST(Table, SchemaDeclaredIndexes) {
   t.insert({Value("c"), Value("ready"), Value(1), Value(2.0), Value(false)});
 
   // The declared index serves the query: no scan fallback.
-  EXPECT_EQ(t.find_by("state", Value("ready")).size(), 2u);
+  EXPECT_EQ(t.find_by(col(t, "state"), Value("ready")).size(), 2u);
   EXPECT_EQ(t.full_scans(), 0u);
 #if SPHINX_CONTRACTS_ENABLED
   // Querying an undeclared column falls back to a (counted) full scan.
-  EXPECT_EQ(t.find_by("name", Value("b")).size(), 1u);
+  EXPECT_EQ(t.find_by(col(t, "name"), Value("b")).size(), 1u);
   EXPECT_EQ(t.full_scans(), 1u);
 #endif
 }
@@ -433,16 +490,16 @@ TEST(Table, FindFirstMatchesFindBy) {
   t.insert({Value("b"), Value("ready"), Value(2), Value(1.0), Value(false)});
 
   // Index path.
-  const Row* row = t.find_first("state", Value("ready"));
+  const Row* row = t.find_first(col(t, "state"), Value("ready"));
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->id, first);
-  EXPECT_EQ(row->id, t.find_by("state", Value("ready")).front());
-  EXPECT_EQ(t.find_first("state", Value("nope")), nullptr);
+  EXPECT_EQ(row->id, t.find_by(col(t, "state"), Value("ready")).front());
+  EXPECT_EQ(t.find_first(col(t, "state"), Value("nope")), nullptr);
   // Scan path agrees.
-  row = t.find_first("name", Value("b"));
+  row = t.find_first(col(t, "name"), Value("b"));
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->id, t.find_by("name", Value("b")).front());
-  EXPECT_EQ(t.find_first("name", Value("zzz")), nullptr);
+  EXPECT_EQ(row->id, t.find_by(col(t, "name"), Value("b")).front());
+  EXPECT_EQ(t.find_first(col(t, "name"), Value("zzz")), nullptr);
 }
 
 TEST(Journal, CreateTableCarriesIndexFlags) {
@@ -462,7 +519,7 @@ TEST(Journal, CreateTableCarriesIndexFlags) {
   Database r;
   ASSERT_TRUE(r.recover(*parsed).ok());
   Table& rt = r.table("jobs");
-  EXPECT_EQ(rt.find_by("state", Value("ready")).size(), 1u);
+  EXPECT_EQ(rt.find_by(col(rt, "state"), Value("ready")).size(), 1u);
   EXPECT_EQ(rt.full_scans(), 0u);
 
   // Journals written before the flag existed still parse (no '!').
@@ -492,7 +549,7 @@ TEST(Journal, SequenceNumbersSurviveTruncation) {
   EXPECT_EQ(d.journal().size(), 2u);
 
   // New mutations keep numbering from where the prefix left off.
-  t.update(ids[0], "state", Value("planned"));
+  t.update(ids[0], col(t, "state"), Value("planned"));
   EXPECT_EQ(d.journal().next_seq(), 7u);
 
   // Truncating before the base or past the end clamps, never throws.
@@ -509,7 +566,7 @@ TEST(Journal, SerializedSizeMatchesAndHeaderRoundTrips) {
   Table& t = d.create_table("jobs", jobs_schema());
   const RowId id = t.insert({Value("tab\tand\nnewline"), Value("ready"),
                              Value(-3), Value(2.5), Value(true)});
-  t.update(id, "state", Value("planned"));
+  t.update(id, col(t, "state"), Value("planned"));
   EXPECT_EQ(d.journal().size_bytes(), d.journal().serialize().size());
 
   // Untruncated journals serialize headerless (legacy byte format).
@@ -541,7 +598,7 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
                                Value(i % 2 == 0 ? "ready" : "planned"),
                                Value(i), Value(1.5 * i), Value(false)}));
   }
-  jobs.update(ids[2], "state", Value("completed"));
+  jobs.update(ids[2], col(jobs, "state"), Value("completed"));
   jobs.erase(ids[7]);  // tail erase: next_id exceeds the max live id
 
   const std::string image = original.snapshot();
@@ -556,7 +613,7 @@ TEST(Database, SnapshotRestoreRoundTripIsByteStable) {
   // bytes, and keeps allocating row ids past the erased tail.
   EXPECT_EQ(restored.snapshot(), image);
   EXPECT_EQ(restored.table("jobs").size(), 7u);
-  EXPECT_EQ(restored.table("jobs").get(ids[2], "state").as_text(),
+  EXPECT_EQ(cell(restored.table("jobs"), ids[2], "state").as_text(),
             "completed");
   const RowId fresh = restored.table("jobs").insert(
       {Value("new"), Value("ready"), Value(9), Value(0.0), Value(false)});
@@ -572,7 +629,7 @@ TEST(Database, SnapshotCarriesIndexDeclarations) {
   Database restored;
   ASSERT_TRUE(restored.restore(original.snapshot()).ok());
   Table& rt = restored.table("jobs");
-  EXPECT_EQ(rt.find_by("state", Value("ready")).size(), 1u);
+  EXPECT_EQ(rt.find_by(col(rt, "state"), Value("ready")).size(), 1u);
   EXPECT_EQ(rt.full_scans(), 0u);  // the index came back with the schema
 }
 
@@ -590,7 +647,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
   }
   const std::string image = crashed.snapshot();
   const std::uint64_t seq = crashed.journal().next_seq();
-  jobs.update(ids[1], "state", Value("completed"));
+  jobs.update(ids[1], col(jobs, "state"), Value("completed"));
   jobs.erase(ids[4]);
   crashed.truncate_journal(seq);
 
@@ -610,7 +667,7 @@ TEST(Database, SuffixRecoveryReproducesCrashedJournalBytes) {
     jobs2.insert({Value("j" + std::to_string(i)), Value("ready"), Value(i),
                   Value(0.0), Value(false)});
   }
-  jobs2.update(ids[1], "state", Value("completed"));
+  jobs2.update(ids[1], col(jobs2, "state"), Value("completed"));
   jobs2.erase(ids[4]);
   Database completed;
   ASSERT_TRUE(completed.restore(image).ok());
@@ -696,7 +753,7 @@ TEST(Database, SubnormalRealsSurviveSnapshotAndJournal) {
   };
   const auto expect_same_cells = [&](const Database& copy) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_TRUE(bits_equal(copy.table("reals").get(ids[i], "x").as_real(),
+      EXPECT_TRUE(bits_equal(cell(copy.table("reals"), ids[i], "x").as_real(),
                              subnormals[i]))
           << i;
     }
@@ -1011,11 +1068,294 @@ TEST(Table, IndexBucketsStayInIdOrder) {
     ids.push_back(t.insert({Value("j" + std::to_string(i)), Value("ready"),
                             Value(i), Value(0.0), Value(false)}));
   }
-  t.update(ids[0], "site", Value(9));  // same state: erase + reinsert
-  t.update(ids[2], "state", Value("planned"));
-  t.update(ids[2], "state", Value("ready"));
-  EXPECT_EQ(t.find_by("state", Value("ready")),
+  t.update(ids[0], col(t, "site"), Value(9));  // unindexed: bucket untouched
+  t.update(ids[2], col(t, "state"), Value("planned"));
+  t.update(ids[2], col(t, "state"), Value("ready"));
+  EXPECT_EQ(t.find_by(col(t, "state"), Value("ready")),
             (std::vector<RowId>{ids[0], ids[1], ids[2], ids[3]}));
+}
+
+// --- dense value-keyed table vs the map-and-string-key table -------------
+
+namespace oracle {
+
+/// The table store as it was before rows went dense and index keys went
+/// typed: rows in a std::map, index buckets keyed by "type:text" with
+/// reals formatted "%.9f", and every update re-keying every index.  Kept
+/// here only as the differential oracle.  Its indexed real-key lookups
+/// are wrong (distinct reals share a key), so real probes go to scan().
+class MapTable {
+ public:
+  MapTable(std::string name, Schema schema, Journal& journal)
+      : name_(std::move(name)), schema_(std::move(schema)), journal_(journal) {
+    for (std::size_t col = 0; col < schema_.size(); ++col) {
+      if (schema_.at(col).indexed) indexes_[col];
+    }
+    JournalEntry entry;
+    entry.op = JournalEntry::Op::kCreateTable;
+    entry.table = name_;
+    entry.schema = schema_.columns();
+    journal_.append(std::move(entry));
+  }
+
+  RowId insert(std::vector<Value> cells) {
+    const RowId id = next_id_++;
+    put(id, std::move(cells));
+    return id;
+  }
+  void insert_with_id(RowId id, std::vector<Value> cells) {
+    next_id_ = std::max(next_id_, id + 1);
+    put(id, std::move(cells));
+  }
+  bool update(RowId id, std::size_t column, Value value) {
+    const auto it = rows_.find(id);
+    if (it == rows_.end()) return false;
+    index_erase(it->second);
+    it->second.cells[column] = std::move(value);
+    index_insert(it->second);
+    JournalEntry entry;
+    entry.op = JournalEntry::Op::kUpdate;
+    entry.table = name_;
+    entry.row = id;
+    entry.column = column;
+    entry.cells = {it->second.cells[column]};
+    journal_.append(std::move(entry));
+    return true;
+  }
+  bool erase(RowId id) {
+    const auto it = rows_.find(id);
+    if (it == rows_.end()) return false;
+    index_erase(it->second);
+    rows_.erase(it);
+    JournalEntry entry;
+    entry.op = JournalEntry::Op::kErase;
+    entry.table = name_;
+    entry.row = id;
+    journal_.append(std::move(entry));
+    return true;
+  }
+  [[nodiscard]] std::vector<RowId> find_by(std::size_t column,
+                                           const Value& value) const {
+    if (const auto it = indexes_.find(column); it != indexes_.end()) {
+      const auto bucket = it->second.find(key(value));
+      return bucket == it->second.end() ? std::vector<RowId>{}
+                                        : bucket->second;
+    }
+    return scan(column, value);
+  }
+  [[nodiscard]] std::vector<RowId> scan(std::size_t column,
+                                        const Value& value) const {
+    std::vector<RowId> out;
+    for (const auto& [id, row] : rows_) {
+      if (row.cells[column] == value) out.push_back(id);
+    }
+    return out;
+  }
+  [[nodiscard]] std::vector<RowId> live() const {
+    std::vector<RowId> out;
+    for (const auto& [id, row] : rows_) out.push_back(id);
+    return out;
+  }
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  [[nodiscard]] RowId next_id() const { return next_id_; }
+
+  /// The table's share of a snapshot image, in the pre-incremental encoder.
+  [[nodiscard]] std::string image() const {
+    std::string out = "#db\t1\nT\t" + escape_field(name_) + "\t" +
+                      std::to_string(next_id_);
+    for (const Column& col : schema_.columns()) {
+      out += "\t" + encode_column(col);
+    }
+    out += "\n";
+    for (const auto& [id, row] : rows_) {
+      out += "R\t" + std::to_string(id);
+      for (const Value& v : row.cells) out += "\t" + encode_value(v);
+      out += "\n";
+    }
+    return out;
+  }
+
+ private:
+  static std::string key(const Value& v) {
+    std::string text;
+    switch (v.type()) {
+      case ValueType::kNull: text = "null"; break;
+      case ValueType::kInt: text = std::to_string(v.as_int()); break;
+      case ValueType::kReal: text = format_double(v.as_real(), 9); break;
+      case ValueType::kText: text = v.as_text(); break;
+      case ValueType::kBool: text = v.as_bool() ? "true" : "false"; break;
+    }
+    return std::string(to_string(v.type())) + ":" + text;
+  }
+  void put(RowId id, std::vector<Value> cells) {
+    const auto [it, ok] = rows_.emplace(id, Row{id, std::move(cells)});
+    ASSERT_TRUE(ok);
+    index_insert(it->second);
+    JournalEntry entry;
+    entry.op = JournalEntry::Op::kInsert;
+    entry.table = name_;
+    entry.row = id;
+    entry.cells = it->second.cells;
+    journal_.append(std::move(entry));
+  }
+  void index_insert(const Row& row) {
+    for (auto& [col, index] : indexes_) {
+      auto& ids = index[key(row.cells[col])];
+      ids.insert(std::upper_bound(ids.begin(), ids.end(), row.id), row.id);
+    }
+  }
+  void index_erase(const Row& row) {
+    for (auto& [col, index] : indexes_) {
+      const auto it = index.find(key(row.cells[col]));
+      if (it == index.end()) continue;
+      std::erase(it->second, row.id);
+      if (it->second.empty()) index.erase(it);
+    }
+  }
+
+  std::string name_;
+  Schema schema_;
+  Journal& journal_;
+  std::map<RowId, Row> rows_;
+  RowId next_id_ = 1;
+  std::map<std::size_t, std::unordered_map<std::string, std::vector<RowId>>>
+      indexes_;
+};
+
+}  // namespace oracle
+
+/// Values from small pools, so that keys collide and the equality corner
+/// cases (signed zero, tiny reals, NaN, 1 vs "1" vs true) recur.
+class PoolValues {
+ public:
+  explicit PoolValues(std::uint64_t seed) : rng_(seed) {}
+
+  Value of(ValueType type) {
+    if (pick(10) == 0) return Value();
+    if (type == ValueType::kNull) type = static_cast<ValueType>(1 + pick(4));
+    switch (type) {
+      case ValueType::kInt: {
+        constexpr std::int64_t kInts[] = {
+            0, 1, -1, 7, std::numeric_limits<std::int64_t>::min()};
+        return Value(kInts[pick(5)]);
+      }
+      case ValueType::kReal: {
+        constexpr double kReals[] = {
+            0.0, -0.0, 1e-10, 2e-10, 1.0, 0.1,
+            std::numeric_limits<double>::quiet_NaN(),
+            std::numeric_limits<double>::infinity()};
+        return Value(kReals[pick(8)]);
+      }
+      case ValueType::kText: {
+        constexpr const char* kTexts[] = {"", "1", "true", "ready", "a\tb"};
+        return Value(kTexts[pick(5)]);
+      }
+      case ValueType::kBool: return Value(pick(2) == 0);
+      case ValueType::kNull: break;
+    }
+    return Value();
+  }
+
+  std::vector<Value> row(const Schema& schema) {
+    std::vector<Value> cells;
+    for (const Column& col : schema.columns()) cells.push_back(of(col.type));
+    return cells;
+  }
+
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(rng_() % n);
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+/// Every query result, the iteration order and the table image of the
+/// dense table agree with the oracle's (scan path for real probes).
+void expect_same_table(Database& d, const Table& t,
+                       const oracle::MapTable& o, PoolValues& values) {
+  ASSERT_EQ(t.size(), o.size());
+  std::vector<RowId> order;
+  t.for_each([&order](const Row& row) { order.push_back(row.id); });
+  ASSERT_EQ(order, o.live());
+  for (std::size_t col = 0; col < t.schema().size(); ++col) {
+    for (int probe = 0; probe < 6; ++probe) {
+      const Value v = values.of(t.schema().at(col).type);
+      const std::vector<RowId> expected = v.type() == ValueType::kReal
+                                              ? o.scan(col, v)
+                                              : o.find_by(col, v);
+      ASSERT_EQ(t.find_by(col, v), expected)
+          << "column " << col << ", probe of type " << to_string(v.type());
+      ASSERT_EQ(t.count_by(col, v), expected.size());
+      const Row* first = t.find_first(col, v);
+      ASSERT_EQ(first == nullptr ? kInvalidRow : first->id,
+                expected.empty() ? kInvalidRow : expected.front());
+    }
+  }
+  ASSERT_EQ(d.snapshot(), o.image());
+  t.check_invariants();
+}
+
+TEST(Table, DenseTableMatchesMapOracle) {
+  const Schema schema{indexed("state", ValueType::kText),
+                      indexed("k", ValueType::kInt),
+                      {"n", ValueType::kInt},
+                      indexed("x", ValueType::kReal),
+                      {"y", ValueType::kReal},
+                      indexed("any", ValueType::kNull),
+                      indexed("flag", ValueType::kBool)};
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PoolValues values(seed);
+    Database d;
+    Table& t = d.create_table("t", schema);
+    Journal expected_journal;
+    oracle::MapTable o("t", schema, expected_journal);
+    for (int round = 0; round < 12; ++round) {
+      // Each round favours one pattern: a random mix, FIFO churn (insert
+      // new, erase oldest -- the outbox and sample rings) or LIFO churn
+      // (erase newest).
+      const std::size_t pattern = values.pick(3);
+      for (int step = 0; step < 60; ++step) {
+        const std::vector<RowId> live = o.live();
+        const std::size_t op = values.pick(10);
+        if (live.empty() || op < 3) {
+          std::vector<Value> cells = values.row(schema);
+          ASSERT_EQ(t.insert(cells), o.insert(cells));
+        } else if (op < 6 && pattern == 0) {
+          const RowId id = live[values.pick(live.size())];
+          const std::size_t col = values.pick(schema.size());
+          const Value v = values.of(schema.at(col).type);
+          ASSERT_EQ(t.update(id, col, v), o.update(id, col, v));
+        } else if (op < 8) {
+          const RowId id = pattern == 1   ? live.front()
+                           : pattern == 2 ? live.back()
+                                          : live[values.pick(live.size())];
+          ASSERT_EQ(t.erase(id), o.erase(id));
+        } else if (op < 9) {
+          // Replay-style insert under an erased id, or past the cursor.
+          RowId id = o.next_id() + values.pick(3);
+          for (RowId gap = 1; gap < o.next_id(); ++gap) {
+            if (t.find(gap) == nullptr && values.pick(2) == 0) {
+              id = gap;
+              break;
+            }
+          }
+          std::vector<Value> cells = values.row(schema);
+          t.insert_with_id(id, cells);
+          o.insert_with_id(id, cells);
+        } else {
+          // Updates and misses on absent rows change nothing.
+          ASSERT_EQ(t.update(o.next_id() + 5, 0, Value("x")), false);
+          ASSERT_EQ(t.erase(o.next_id() + 5), false);
+          ASSERT_EQ(t.find(o.next_id() + 5), nullptr);
+        }
+        ASSERT_EQ(t.next_id(), o.next_id());
+      }
+      expect_same_table(d, t, o, values);
+      ASSERT_EQ(d.journal().serialize(), oracle::journal(expected_journal));
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "data/gridftp.hpp"
 #include "db/database.hpp"
+#include "db/encoding.hpp"
 #include "exp/scenario.hpp"
 #include "grid/site.hpp"
 #include "obs/recorder.hpp"
@@ -170,7 +171,8 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
     } else if (dice < 0.85) {
       table.update(rows[static_cast<std::size_t>(rng.uniform_int(
                        0, static_cast<std::int64_t>(rows.size() - 1)))],
-                   "s", db::Value("u" + std::to_string(i)));
+                   table.schema().index_of("s"),
+                   db::Value("u" + std::to_string(i)));
     } else {
       const auto idx = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(rows.size() - 1)));
@@ -190,7 +192,10 @@ TEST_P(SeededProperty, JournalReplayMatchesOriginal) {
     std::vector<std::string> out;
     d.table("t").for_each([&out](const db::Row& row) {
       std::string line = std::to_string(row.id);
-      for (const auto& cell : row.cells) line += "|" + cell.to_string();
+      for (const auto& cell : row.cells) {
+        line += '|';
+        db::append_value(line, cell);
+      }
       out.push_back(std::move(line));
     });
     return out;

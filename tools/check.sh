@@ -194,6 +194,16 @@ echo "== recovery benchmark =="
 ./build/relwithdebinfo/bench/micro_recovery \
   --benchmark_out=BENCH_recovery.json --benchmark_out_format=json
 
+echo "== table store benchmark =="
+# Table inserts, indexed and scanned lookups (BM_IndexedFindFirst on an
+# int and a text key), indexed and unindexed cell updates
+# (BM_UpdateUnindexedColumn: three indexes, none touched) and journal
+# replay, in BENCH_db.json.  Timings are informational; the table's
+# results, image and journal bytes are gated by the tier-1 differential
+# test Table.DenseTableMatchesMapOracle.
+./build/relwithdebinfo/bench/micro_db \
+  --benchmark_out=BENCH_db.json --benchmark_out_format=json
+
 echo "== rpc overhead benchmark =="
 # Dedup-cache lookup cost plus the reliable-stack A/B at 0% loss (the
 # overhead every fault-free run pays).  Results land in BENCH_rpc.json.
