@@ -1075,6 +1075,29 @@ TEST(Table, IndexBucketsStayInIdOrder) {
             (std::vector<RowId>{ids[0], ids[1], ids[2], ids[3]}));
 }
 
+TEST(Table, ErasesKeepCollidingIdsFindable) {
+  // Ids 16 apart share a home slot in the (at least 16-slot) id map, so
+  // they form one probe chain; erasing inside it must leave the rest of
+  // the chain findable.
+  Table t("jobs", indexed_jobs_schema());
+  for (const RowId id : {RowId{1}, RowId{17}, RowId{33}, RowId{49}}) {
+    t.insert_with_id(id, {Value("j"), Value("ready"), Value(1), Value(0.0),
+                          Value(false)});
+  }
+  ASSERT_TRUE(t.erase(1));
+  ASSERT_TRUE(t.erase(33));
+  EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(t.find(33), nullptr);
+  for (const RowId id : {RowId{17}, RowId{49}}) {
+    const Row* row = t.find(id);
+    ASSERT_NE(row, nullptr) << "row " << id;
+    EXPECT_EQ(row->id, id);
+  }
+  EXPECT_EQ(t.find_by(col(t, "state"), Value("ready")),
+            (std::vector<RowId>{17, 49}));
+  t.check_invariants();
+}
+
 // --- dense value-keyed table vs the map-and-string-key table -------------
 
 namespace oracle {
