@@ -139,8 +139,7 @@ void Table::add(RowId id, std::vector<Value> cells) {
   } else {
     // Below the newest row (replay into an erased id): insert in id order
     // and renumber every position.  O(rows).
-    std::erase_if(rows_, [](const Row& row) { return row.id == kInvalidRow; });
-    holes_ = 0;
+    reindex();  // drops the holes, whose id 0 would break the search
     const auto at = std::lower_bound(
         rows_.begin(), rows_.end(), id,
         [](const Row& row, RowId key) { return row.id < key; });
