@@ -93,7 +93,7 @@ int main() {
               tracker.timeouts, tracker.held_or_failed);
   if (recovered != nullptr) {
     std::printf("recovered server: %zu plans sent after recovery\n",
-                recovered->stats().plans_sent);
+                recovered->stats().plans_sent());
   }
   std::printf("%zu/%zu dags completed -> %s\n", finished,
               tenant.client->dag_outcomes().size(),

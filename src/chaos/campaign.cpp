@@ -144,7 +144,9 @@ RunArtifacts run_once(const ChaosRunConfig& config,
       tenant.server->warehouse().journal().next_seq());
   artifacts.journal_live_records = tenant.server->warehouse().journal().size();
   artifacts.trace_jsonl = scenario.recorder().trace().to_jsonl();
-  artifacts.speculations = tenant.server->stats().speculations;
+  // Run-wide: stats() would count only the last recovered incarnation.
+  artifacts.speculations = scenario.recorder().counter(
+      "server.speculations", tenant.server->endpoint());
   artifacts.invariant_violation = crash_failure;
   if (artifacts.invariant_violation.empty()) {
     try {

@@ -70,21 +70,10 @@ Expected<XrValue> SphinxClient::handle_execute_plan(
   // the tracker or the gateway -- a plan must never execute twice.
   if (!submitted_attempts_.emplace(plan->job.value(), plan->attempt).second) {
     ++tracker_.duplicate_plans;
-    if (recorder_ != nullptr) {
-      recorder_->count(config_.endpoint, "tracker.duplicate_plans");
-    }
     return XrValue(true);
   }
   ++tracker_.plans_received;
-  if (recorder_ != nullptr) {
-    recorder_->count(config_.endpoint, "tracker.plans_received");
-  }
-  if (plan->speculative) {
-    ++tracker_.speculative_plans;
-    if (recorder_ != nullptr) {
-      recorder_->count(config_.endpoint, "tracker.speculative_plans");
-    }
-  }
+  if (plan->speculative) ++tracker_.speculative_plans;
 
   // Build the submit file from the server's decision.
   submit::SubmitRequest request;
@@ -161,14 +150,11 @@ Expected<XrValue> SphinxClient::handle_dag_done(
     // Duplicate notification: keep the first delivery's finish time so
     // completion-time metrics are not skewed by the retransmission.
     ++tracker_.duplicate_dag_done;
-    if (recorder_ != nullptr) {
-      recorder_->count(config_.endpoint, "tracker.duplicate_dag_done");
-    }
     return XrValue(true);
   }
   outcome.finished_at = bus_.engine().now();
+  ++tracker_.dags_done;
   if (recorder_ != nullptr) {
-    recorder_->count(config_.endpoint, "tracker.dags_done");
     recorder_->observe(config_.endpoint, "dag.completion_time",
                        outcome.completion_time());
   }
@@ -224,9 +210,6 @@ Expected<XrValue> SphinxClient::handle_cancel_attempt(
   Tracked& tracked = it->second;
   finish_tracking(tracked);
   ++tracker_.race_cancels;
-  if (recorder_ != nullptr) {
-    recorder_->count(config_.endpoint, "tracker.race_cancels");
-  }
   gateway_.cancel(job, attempt);
   // No report: the server initiated this cancellation when it settled the
   // race and has already retired the attempt.
@@ -261,9 +244,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
       // stats, no report -- the job is already done.
       if (!completed_jobs_.insert(event.job.value()).second) {
         ++tracker_.duplicate_completions;
-        if (recorder_ != nullptr) {
-          recorder_->count(config_.endpoint, "tracker.duplicate_completions");
-        }
         erase_tracked(key);
         return;
       }
@@ -289,7 +269,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
                            [](bool) {});
       }
       if (recorder_ != nullptr) {
-        recorder_->count(config_.endpoint, "tracker.completions");
         recorder_->observe(config_.endpoint, "job.completion_time",
                            r.completion_time);
       }
@@ -308,9 +287,6 @@ void SphinxClient::on_gateway_event(const submit::GatewayEvent& event) {
       TrackerReport r{event.job, ReportKind::kHeld, site, now, 0, 0, 0,
                       attempt};
       r.completion_time = now - tracked.submitted_at;  // censored
-      if (recorder_ != nullptr) {
-        recorder_->count(config_.endpoint, "tracker.held_or_failed");
-      }
       report(r);
       erase_tracked(key);  // terminal: drop the tracker entry
       return;
@@ -362,7 +338,6 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
                        "job:" + std::to_string(job.value()),
                        "site:" + std::to_string(tracked.plan.site.value()),
                        static_cast<double>(tracked.extensions));
-      recorder_->count(config_.endpoint, "tracker.extensions");
     }
     return;
   }
@@ -375,7 +350,6 @@ void SphinxClient::on_timeout(JobId job, int attempt) {
                      "job:" + std::to_string(job.value()),
                      "site:" + std::to_string(tracked.plan.site.value()),
                      static_cast<double>(tracked.extensions));
-    recorder_->count(config_.endpoint, "tracker.timeouts");
   }
   gateway_.cancel(job, attempt);  // condor_rm (or forced removal)
   TrackerReport r{job, ReportKind::kCancelled, tracked.plan.site,

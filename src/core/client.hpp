@@ -92,6 +92,24 @@ struct TrackerStats {
   /// Completions of a racing attempt observed after the sibling already
   /// completed; arbitrated away (no stats, no report).
   std::size_t duplicate_completions = 0;
+  std::size_t dags_done = 0;         ///< first dag_done of each DAG
+};
+
+/// TrackerStats as the recorder exports it, "name\@<client endpoint>".
+inline constexpr obs::CounterField<TrackerStats> kTrackerCounters[] = {
+    {"tracker.plans_received", &TrackerStats::plans_received},
+    {"tracker.submissions", &TrackerStats::submissions},
+    {"tracker.timeouts", &TrackerStats::timeouts},
+    {"tracker.extensions", &TrackerStats::extensions},
+    {"tracker.held_or_failed", &TrackerStats::held_or_failed},
+    {"tracker.completions", &TrackerStats::completions},
+    {"tracker.persisted_outputs", &TrackerStats::persisted_outputs},
+    {"tracker.duplicate_plans", &TrackerStats::duplicate_plans},
+    {"tracker.duplicate_dag_done", &TrackerStats::duplicate_dag_done},
+    {"tracker.speculative_plans", &TrackerStats::speculative_plans},
+    {"tracker.race_cancels", &TrackerStats::race_cancels},
+    {"tracker.duplicate_completions", &TrackerStats::duplicate_completions},
+    {"tracker.dags_done", &TrackerStats::dags_done},
 };
 
 class SphinxClient {
@@ -142,10 +160,12 @@ class SphinxClient {
   [[nodiscard]] const ClientConfig& config() const noexcept { return config_; }
 
   /// Attaches a flight recorder: tracker timeouts, extensions and
-  /// completion observations are traced under this client's endpoint.
-  /// Observation only.
-  void set_recorder(obs::Recorder* recorder) noexcept {
+  /// completion observations are traced under this client's endpoint,
+  /// and tracker_stats() is exported as kTrackerCounters.  Observation
+  /// only.
+  void set_recorder(obs::Recorder* recorder) {
     recorder_ = recorder;
+    counters_.attach(recorder, config_.endpoint, tracker_, kTrackerCounters);
   }
 
   /// Jobs currently tracked (terminal entries are erased as their
@@ -209,6 +229,7 @@ class SphinxClient {
   std::unordered_map<DagId, std::size_t> outcome_index_;
   std::vector<DagOutcome> outcomes_;
   TrackerStats tracker_;
+  obs::CounterExport counters_;  ///< exports tracker_; after it, so it folds first
   RunningStats exec_times_;
   RunningStats idle_times_;
   std::unordered_map<SiteId, SiteObservation> per_site_;

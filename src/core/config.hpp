@@ -14,6 +14,7 @@
 #include "common/ids.hpp"
 #include "common/time.hpp"
 #include "core/state.hpp"
+#include "obs/metrics.hpp"
 
 namespace sphinx::core {
 
@@ -88,11 +89,14 @@ struct ServerConfig {
   std::size_t speculation_max_global = 8;
 };
 
-/// Counters for experiments and diagnostics.
+/// Counters for experiments and diagnostics, one server instance's
+/// worth.  The recorder exports them (kServerCounters) summed over every
+/// instance of an endpoint, so they survive a crash and recovery there.
 struct ServerStats {
   std::size_t dags_received = 0;
-  std::size_t plans_sent = 0;
-  std::size_t replans = 0;         ///< plans for attempt > 1
+  std::size_t plans = 0;           ///< sweep plans; replicas excluded
+  std::size_t replans = 0;         ///< sweep plans for attempt > 1
+  std::size_t empty_plans = 0;     ///< plan_dag calls that planned nothing
   std::size_t reports_processed = 0;
   std::size_t jobs_reduced = 0;    ///< jobs eliminated by the DAG reducer
   std::size_t policy_rejections = 0;  ///< site filtered by quota at least once
@@ -100,12 +104,36 @@ struct ServerStats {
   /// retransmitted submit_dag that escaped the RPC dedup cache, e.g.
   /// after a crash wiped it).
   std::size_t duplicate_dags = 0;
+  std::size_t checkpoints = 0;     ///< images published
   // Straggler defense (speculate = true).
   std::size_t speculations = 0;           ///< races launched
   std::size_t speculations_won_primary = 0;  ///< original attempt finished first
   std::size_t speculations_won_spec = 0;     ///< replica finished first
   std::size_t speculation_cancels = 0;    ///< loser-cancel RPCs issued
   std::size_t detector_stale_skips = 0;   ///< classifications declined (stale)
+
+  /// Every plan sent to a client: sweep plans plus speculative replicas.
+  [[nodiscard]] std::size_t plans_sent() const noexcept {
+    return plans + speculations;
+  }
+};
+
+/// ServerStats as the recorder exports it, "name\@<server endpoint>".
+inline constexpr obs::CounterField<ServerStats> kServerCounters[] = {
+    {"server.dags_received", &ServerStats::dags_received},
+    {"server.plans", &ServerStats::plans},
+    {"server.replans", &ServerStats::replans},
+    {"server.empty_plans", &ServerStats::empty_plans},
+    {"server.reports_processed", &ServerStats::reports_processed},
+    {"server.jobs_reduced", &ServerStats::jobs_reduced},
+    {"server.policy_rejections", &ServerStats::policy_rejections},
+    {"server.duplicate_dags", &ServerStats::duplicate_dags},
+    {"server.checkpoints", &ServerStats::checkpoints},
+    {"server.speculations", &ServerStats::speculations},
+    {"server.speculations_won_primary", &ServerStats::speculations_won_primary},
+    {"server.speculations_won_spec", &ServerStats::speculations_won_spec},
+    {"server.speculation_cancels", &ServerStats::speculation_cancels},
+    {"detector.stale_skips", &ServerStats::detector_stale_skips},
 };
 
 }  // namespace sphinx::core

@@ -149,7 +149,7 @@ bool Planner::plan_job(const DagRecord& dag, const JobRecord& job, SimTime now,
     warehouse_.consume_quota(dag.user, *site, "disk_bytes",
                              job.output_bytes);
   }
-  ++stats_.plans_sent;
+  ++stats_.plans;
   if (plan.attempt > 1) ++stats_.replans;
   plans.push_back(std::move(plan));
   return true;
@@ -213,7 +213,6 @@ std::optional<ExecutionPlan> Planner::plan_speculative(const DagRecord& dag,
     warehouse_.consume_quota(dag.user, *site, "disk_bytes",
                              job.output_bytes);
   }
-  ++stats_.plans_sent;
   return plan;
 }
 

@@ -191,12 +191,12 @@ void SphinxServer::maybe_checkpoint() {
         // Observability rides publication, before the mid-checkpoint kill
         // window below, so baseline and crashed-here traces agree on
         // every event up to the crash itself.
+        ++stats_.checkpoints;
         if (recorder_ != nullptr) {
           const auto compacted =
               static_cast<double>(warehouse_->journal().size());
           recorder_->event(obs::TraceKind::kCheckpoint, config_.endpoint,
                            "", "seq:" + std::to_string(image.seq), compacted);
-          recorder_->count(config_.endpoint, "server.checkpoints");
           recorder_->observe(config_.endpoint,
                              "server.checkpoint_snapshot_bytes",
                              static_cast<double>(image.database.size()));
@@ -268,16 +268,12 @@ Expected<XrValue> SphinxServer::handle_submit_dag(
     // Duplicate delivery (retransmission past a wiped dedup cache): the
     // DAG is already stored.  Re-acknowledge with the identical reply and
     // leave journal, trace and work queue untouched.
-    if (recorder_ != nullptr) {
-      recorder_->count(config_.endpoint, "server.duplicate_dags");
-    }
     return XrValue(dag->id().value());
   }
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kDagReceived, config_.endpoint,
                      "dag:" + std::to_string(dag->id().value()), dag->name(),
                      static_cast<double>(dag->size()));
-    recorder_->count(config_.endpoint, "server.dags_received");
   }
   log_.debug("received dag ", dag->name(), " (", dag->size(), " jobs) from ",
              client, " [", proxy.principal(), "]");
@@ -321,6 +317,7 @@ void SphinxServer::set_quota(UserId user, SiteId site,
 
 void SphinxServer::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;
+  counters_.attach(recorder, config_.endpoint, stats_, kServerCounters);
   warehouse_->set_recorder(recorder, config_.endpoint);
 }
 
@@ -340,7 +337,7 @@ void SphinxServer::sweep() {
     recorder_->event(obs::TraceKind::kSweepBegin, config_.endpoint, "", "",
                      static_cast<double>(drained.size()));
   }
-  const std::size_t plans_before = stats_.plans_sent;
+  const std::size_t plans_before = stats_.plans_sent();
 
   // Stage 1: the reducer consumes received DAGs.  A fully-reduced DAG can
   // finish right here (all outputs already existed).
@@ -384,10 +381,9 @@ void SphinxServer::sweep() {
                      });
   }
   const SimTime now = bus_.engine().now();
-  std::uint64_t empty_plans = 0;  // plan_dag calls that planned nothing
   for (const DagRecord& dag : planning) {
     Planner::Outcome outcome = planner_->plan_dag(dag, now);
-    if (outcome.plans.empty()) ++empty_plans;
+    if (outcome.plans.empty()) ++stats_.empty_plans;
     for (const ExecutionPlan& plan : outcome.plans) {
       send_plan(dag.client, plan);
       if (recorder_ != nullptr) {
@@ -395,13 +391,10 @@ void SphinxServer::sweep() {
                          "job:" + std::to_string(plan.job.value()),
                          "site:" + std::to_string(plan.site.value()),
                          static_cast<double>(plan.attempt));
-        recorder_->count(config_.endpoint, "server.plans");
-        if (plan.attempt > 1) {
-          recorder_->count(config_.endpoint, "server.replans");
-        } else {
-          // Planning latency for first attempts: submission -> plan.
-          // Replans are excluded; their latency measures the failure
-          // path, not the planner.
+        // Planning latency for first attempts: submission -> plan.
+        // Replans are excluded; their latency measures the failure
+        // path, not the planner.
+        if (plan.attempt <= 1) {
           recorder_->observe(config_.endpoint, "server.plan_latency",
                              now - dag.received_at);
         }
@@ -412,9 +405,6 @@ void SphinxServer::sweep() {
     // parents stays off the queue until a parent completes.
     if (outcome.ready_jobs_unplaced) warehouse_->mark_dag_dirty(dag.id);
   }
-  if (empty_plans > 0 && recorder_ != nullptr) {
-    recorder_->count(config_.endpoint, "server.empty_plans", empty_plans);
-  }
 
   // Straggler defense: after regular planning, scan the in-flight jobs
   // for stragglers and race replicas against them (its own cadence; a
@@ -423,7 +413,7 @@ void SphinxServer::sweep() {
 
   if (recorder_ != nullptr && !drained.empty()) {
     recorder_->event(obs::TraceKind::kSweepEnd, config_.endpoint, "", "",
-                     static_cast<double>(stats_.plans_sent - plans_before));
+                     static_cast<double>(stats_.plans_sent() - plans_before));
     recorder_->observe(config_.endpoint, "server.sweep_depth",
                        static_cast<double>(drained.size()));
   }
@@ -474,9 +464,6 @@ void SphinxServer::maybe_speculate() {
       const StragglerVerdict verdict = detector_->classify(job, now);
       if (verdict == StragglerVerdict::kStaleMonitor) {
         ++stats_.detector_stale_skips;
-        if (recorder_ != nullptr) {
-          recorder_->count(config_.endpoint, "detector.stale_skips");
-        }
         continue;
       }
       if (verdict != StragglerVerdict::kStraggler) continue;
@@ -497,7 +484,6 @@ void SphinxServer::maybe_speculate() {
                          "site:" + std::to_string(job.site.value()) + "->" +
                              std::to_string(plan->site.value()),
                          static_cast<double>(plan->attempt));
-        recorder_->count(config_.endpoint, "server.speculations");
       }
       send_plan(dag->client, *plan);
     }
@@ -536,9 +522,6 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
                        primary_won ? "primary" : "spec",
                        static_cast<double>(primary_won ? race.primary_attempt
                                                        : race.spec_attempt));
-      recorder_->count(config_.endpoint,
-                       primary_won ? "server.speculations_won_primary"
-                                   : "server.speculations_won_spec");
     }
     recorder_->event(
         obs::TraceKind::kSpeculationCancelled, config_.endpoint,
@@ -553,9 +536,6 @@ void SphinxServer::on_speculation_resolved(const SpeculationRecord& race,
   // Idempotent on the client, journaled in the outbox like every
   // server -> client call, so a crash cannot lose the cancel.
   ++stats_.speculation_cancels;
-  if (recorder_ != nullptr) {
-    recorder_->count(config_.endpoint, "server.speculation_cancels");
-  }
   if (const auto dag = warehouse_->dag(race.dag); dag.has_value()) {
     out_->call(dag->client, "sphinx_client.cancel_attempt",
                {XrValue(race.job.value()),

@@ -125,8 +125,9 @@ class SphinxServer {
                  double limit);
 
   /// Attaches a flight recorder: sweeps, DAG arrivals/finishes and plan
-  /// emissions are traced under this server's endpoint, and the
-  /// warehouse's job transitions are wired up too.  Observation only.
+  /// emissions are traced under this server's endpoint, stats() is
+  /// exported as kServerCounters, and the warehouse's job transitions
+  /// are wired up too.  Observation only.
   void set_recorder(obs::Recorder* recorder);
 
  private:
@@ -168,6 +169,7 @@ class SphinxServer {
   ServerConfig config_;
   std::unique_ptr<DataWarehouse> warehouse_;
   ServerStats stats_;
+  obs::CounterExport counters_;  ///< exports stats_; after it, so it folds first
   // The paper's pipeline modules (section 3.2), in stage order.
   std::unique_ptr<MessageHandler> message_handler_;
   std::unique_ptr<DagReducer> reducer_;

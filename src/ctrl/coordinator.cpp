@@ -53,10 +53,10 @@ std::uint64_t LeaseCoordinator::grant(const std::string& shard,
                                       const std::string& owner) {
   const std::uint64_t epoch =
       leases_.grant(shard, owner, bus_.engine().now(), config_.lease_ttl);
+  ++stats_.leases_granted;
   if (recorder_ != nullptr) {
     recorder_->event(obs::TraceKind::kLeaseGranted, config_.endpoint, shard,
                      owner, static_cast<double>(epoch));
-    recorder_->count("ctrl", "ctrl.leases_granted");
   }
   return epoch;
 }
@@ -85,14 +85,12 @@ Expected<rpc::XrValue> LeaseCoordinator::handle_renew(
                         config_.lease_ttl)) {
     case RenewOutcome::kRenewed:
       ++stats_.renewals;
-      if (recorder_ != nullptr) recorder_->count("ctrl", "ctrl.lease_renewals");
       return rpc::XrValue("renewed");
     case RenewOutcome::kFenced:
       ++stats_.fenced;
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kLeaseFenced, config_.endpoint, shard,
                          owner, static_cast<double>(epoch));
-        recorder_->count("ctrl", "ctrl.lease_fenced");
       }
       return rpc::XrValue("fenced");
     case RenewOutcome::kUnknownShard:
@@ -113,7 +111,6 @@ void LeaseCoordinator::monitor_sweep() {
       recorder_->event(obs::TraceKind::kLeaseExpired, config_.endpoint,
                        lease.shard, lease.owner,
                        static_cast<double>(lease.epoch));
-      recorder_->count("ctrl", "ctrl.lease_expired");
     }
   }
   // Phase 2: adopt every dead shard that has a candidate.  dead() is the
@@ -140,7 +137,6 @@ void LeaseCoordinator::monitor_sweep() {
       recorder_->event(obs::TraceKind::kShardAdopted, config_.endpoint,
                        lease.shard, lease.owner + "->" + *adopter,
                        static_cast<double>(epoch));
-      recorder_->count("ctrl", "ctrl.shard_adoptions");
     }
     if (adopted_callback_ != nullptr) {
       adopted_callback_(lease.shard, *adopter, epoch);

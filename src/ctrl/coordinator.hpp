@@ -48,11 +48,22 @@ struct CoordinatorConfig {
 
 /// Counters for experiments and tests.
 struct CoordinatorStats {
+  std::size_t leases_granted = 0;    ///< initial grants
   std::size_t renewals = 0;          ///< deadline extensions granted
   std::size_t fenced = 0;            ///< stale renewals rejected
   std::size_t expirations = 0;       ///< leases declared dead
   std::size_t adoptions = 0;         ///< shards rebound to a survivor
   std::size_t failed_adoptions = 0;  ///< no candidate, or handler failed
+};
+
+/// CoordinatorStats as the recorder exports it, "name\@ctrl".
+inline constexpr obs::CounterField<CoordinatorStats> kCoordinatorCounters[] = {
+    {"ctrl.leases_granted", &CoordinatorStats::leases_granted},
+    {"ctrl.lease_renewals", &CoordinatorStats::renewals},
+    {"ctrl.lease_fenced", &CoordinatorStats::fenced},
+    {"ctrl.lease_expired", &CoordinatorStats::expirations},
+    {"ctrl.shard_adoptions", &CoordinatorStats::adoptions},
+    {"ctrl.failed_adoptions", &CoordinatorStats::failed_adoptions},
 };
 
 class LeaseCoordinator {
@@ -87,8 +98,12 @@ class LeaseCoordinator {
 
   void set_adopt_handler(AdoptHandler handler);
   void set_adopted_callback(AdoptedCallback callback);
-  /// Observation only: lease lifecycle events and ctrl.* counters.
-  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
+  /// Observation only: lease lifecycle events, and stats() exported as
+  /// kCoordinatorCounters.
+  void set_recorder(obs::Recorder* recorder) {
+    recorder_ = recorder;
+    counters_.attach(recorder, "ctrl", stats_, kCoordinatorCounters);
+  }
 
   /// Starts / stops the expiry monitor.
   void start();
@@ -120,6 +135,7 @@ class LeaseCoordinator {
   AdoptHandler adopt_handler_;
   AdoptedCallback adopted_callback_;
   CoordinatorStats stats_;
+  obs::CounterExport counters_;  ///< exports stats_; after it, so it folds first
   obs::Recorder* recorder_ = nullptr;
 };
 

@@ -98,7 +98,7 @@ std::vector<TenantResult> Experiment::run(
     r.timeouts = tenant.client->tracker_stats().timeouts;
     r.extensions = tenant.client->tracker_stats().extensions;
     r.held_or_failed = tenant.client->tracker_stats().held_or_failed;
-    r.plans = tenant.server->stats().plans_sent;
+    r.plans = tenant.server->stats().plans_sent();
     r.replans = tenant.server->stats().replans;
     r.policy_rejections = tenant.server->stats().policy_rejections;
     r.submissions = tenant.client->tracker_stats().submissions;

@@ -69,6 +69,7 @@ Scenario::Scenario(ScenarioConfig config)
   // Flight-recorder wiring.  Recording is observation only -- no events,
   // no RNG draws -- so a fixed-seed run's results are bit-identical with
   // or without the instrumentation.
+  crash_counters_.attach(&recorder_, "chaos", crash_stats_, kCrashCounters);
   bus_.set_recorder(&recorder_);
   if (!config_.network_faults.empty()) {
     bus_.set_fault_model(config_.network_faults, seeds_.stream("bus/faults"));
@@ -243,7 +244,7 @@ void Scenario::crash_server(std::size_t tenant_index) {
 
   recorder_.event(obs::TraceKind::kServerCrash, durable.config.endpoint, "",
                   "fail-stop", static_cast<double>(durable.journal.size()));
-  recorder_.count("chaos", "server.crashes");
+  ++crash_stats_.crashes;
 
   // Fail-stop: the destructor unregisters the endpoint, so until
   // recover_server() re-registers it the server simply does not exist on
@@ -285,7 +286,7 @@ StatusOrError Scenario::recover_server(std::size_t tenant_index) {
                   durable.checkpoint.has_value() ? "checkpoint+suffix"
                                                  : "journal-replay",
                   static_cast<double>(tenant.server->warehouse().journal().size()));
-  recorder_.count("chaos", "server.recoveries");
+  ++crash_stats_.recoveries;
   tenant.durable.reset();
   return {};
 }

@@ -68,6 +68,19 @@ struct DurableServerState {
   SimTime resume_at = 0.0;
 };
 
+/// Chaos counters of a scenario: fail-stop server crashes and the
+/// recoveries that followed.
+struct CrashStats {
+  std::size_t crashes = 0;
+  std::size_t recoveries = 0;
+};
+
+/// CrashStats as the recorder exports it, "name\@chaos".
+inline constexpr obs::CounterField<CrashStats> kCrashCounters[] = {
+    {"server.crashes", &CrashStats::crashes},
+    {"server.recoveries", &CrashStats::recoveries},
+};
+
 /// One SPHINX deployment (server + client + gateway) sharing the grid
 /// with the other tenants -- the paper's "multiple instances of SPHINX
 /// servers ... started at the same time so that they can compete for the
@@ -172,6 +185,9 @@ class Scenario {
   [[nodiscard]] const obs::Recorder& recorder() const noexcept {
     return recorder_;
   }
+  [[nodiscard]] const CrashStats& crash_stats() const noexcept {
+    return crash_stats_;
+  }
   /// The GMA registry monitoring publishes into (bridged to the recorder).
   [[nodiscard]] monitor::MetricRegistry& registry() noexcept {
     return registry_;
@@ -186,6 +202,8 @@ class Scenario {
   // the recorder, so it must be destroyed first (reverse declaration
   // order destroys registry_ before recorder_).
   obs::Recorder recorder_{engine_};
+  CrashStats crash_stats_;
+  obs::CounterExport crash_counters_;  ///< exports crash_stats_
   monitor::MetricRegistry registry_;
   SeedTree seeds_;
   rpc::MessageBus bus_;

@@ -34,6 +34,7 @@ void FailureModel::start() {
   if (config_.permanent_black_hole) {
     site_.become_black_hole();
     record_outage("black_hole(permanent)");
+    ++stats_.outages;  // after the trace, whose value numbers cycles only
     return;
   }
   if (!config_.schedule.empty()) {
@@ -61,8 +62,7 @@ void FailureModel::record_outage(const char* mode) {
   if (recorder_ == nullptr) return;
   recorder_->event(obs::TraceKind::kSiteOutage, "failure:" + site_.name(),
                    "site:" + std::to_string(site_.id().value()), mode,
-                   static_cast<double>(outages_));
-  recorder_->count("grid", "site.outages");
+                   static_cast<double>(stats_.outages));
 }
 
 void FailureModel::schedule_failure() {
@@ -72,7 +72,7 @@ void FailureModel::schedule_failure() {
 }
 
 void FailureModel::apply_mode(OutageMode mode) {
-  ++outages_;
+  ++stats_.outages;
   switch (mode) {
     case OutageMode::kDown: site_.go_down(); break;
     case OutageMode::kBlackHole: site_.become_black_hole(); break;
@@ -124,11 +124,11 @@ void FailureModel::repair() {
 }
 
 void FailureModel::record_repair() {
+  ++stats_.repairs;
   if (recorder_ == nullptr) return;
   recorder_->event(obs::TraceKind::kSiteRepair, "failure:" + site_.name(),
                    "site:" + std::to_string(site_.id().value()), "",
-                   static_cast<double>(outages_));
-  recorder_->count("grid", "site.repairs");
+                   static_cast<double>(stats_.outages));
 }
 
 BackgroundLoad::BackgroundLoad(sim::Engine& engine, Site& site,

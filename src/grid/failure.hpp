@@ -14,11 +14,8 @@
 
 #include "common/rng.hpp"
 #include "grid/site.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-
-namespace sphinx::obs {
-class Recorder;
-}  // namespace sphinx::obs
 
 namespace sphinx::grid {
 
@@ -56,6 +53,19 @@ struct FailureConfig {
   std::vector<ScheduledOutage> schedule;
 };
 
+/// Outage counters of one site's failure model.
+struct FailureStats {
+  std::size_t outages = 0;
+  std::size_t repairs = 0;
+};
+
+/// FailureStats as the recorder exports it, "name\@grid": one counter
+/// summed over every site's model.
+inline constexpr obs::CounterField<FailureStats> kFailureCounters[] = {
+    {"site.outages", &FailureStats::outages},
+    {"site.repairs", &FailureStats::repairs},
+};
+
 /// Drives one site through up/down cycles on the engine.  Mode weights
 /// must be non-negative and finite (contract-checked); an all-zero mix
 /// falls back to plain downtime (`weight_down` semantics) instead of
@@ -68,10 +78,15 @@ class FailureModel {
   void start();
 
   /// Attaches a flight recorder; outages and repairs are traced with
-  /// their failure mode.  Observation only.
-  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
+  /// their failure mode, and stats() is exported as kFailureCounters.
+  /// Observation only.
+  void set_recorder(obs::Recorder* recorder) {
+    recorder_ = recorder;
+    counters_.attach(recorder, "grid", stats_, kFailureCounters);
+  }
 
-  [[nodiscard]] std::size_t outages() const noexcept { return outages_; }
+  [[nodiscard]] const FailureStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] std::size_t outages() const noexcept { return stats_.outages; }
   [[nodiscard]] const FailureConfig& config() const noexcept { return config_; }
 
  private:
@@ -88,7 +103,8 @@ class FailureModel {
   Site& site_;
   FailureConfig config_;
   Rng rng_;
-  std::size_t outages_ = 0;
+  FailureStats stats_;
+  obs::CounterExport counters_;  ///< exports stats_; after it, so it folds first
   obs::Recorder* recorder_ = nullptr;
 };
 

@@ -16,9 +16,18 @@ void Recorder::event(TraceKind kind, std::string source, std::string subject,
   trace_.record(std::move(e));
 }
 
-void Recorder::count(const std::string& source, const std::string& name,
-                     std::uint64_t delta) {
-  metrics_.add(qualified_name(name, source), delta);
+void CounterExport::attach(Recorder* recorder, std::string source,
+                           std::vector<Field> fields) {
+  // Moving to another recorder folds the values into the old one's run
+  // totals; staying with the same one must not count them twice.
+  if (recorder == nullptr || metrics_ != &recorder->metrics_) {
+    detach();
+    if (recorder == nullptr) return;
+    metrics_ = &recorder->metrics_;
+    metrics_->exports_.push_back(this);
+  }
+  source_ = std::move(source);
+  fields_ = std::move(fields);
 }
 
 void Recorder::observe(const std::string& source, const std::string& name,
@@ -28,7 +37,7 @@ void Recorder::observe(const std::string& source, const std::string& name,
 
 std::uint64_t Recorder::counter(const std::string& name,
                                 const std::string& source) const {
-  return metrics_.counter(qualified_name(name, source));
+  return metrics_.counter(name, source);
 }
 
 const MetricSet::Histogram* Recorder::histogram(

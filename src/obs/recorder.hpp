@@ -12,7 +12,10 @@
 ///
 /// Metric names are qualified by their emitting source as
 /// "name\@source" (e.g. "dag.completion_time\@sphinx-client/rr"), so
-/// multiple tenants sharing one recorder stay separable.
+/// multiple tenants sharing one recorder stay separable.  Counters are
+/// the components' own stats-struct fields, registered once through a
+/// CounterExport (obs/metrics.hpp) and read live; the recorder keeps no
+/// copy of a count.
 
 #include <cstdint>
 #include <string>
@@ -38,14 +41,12 @@ class Recorder {
   void event(TraceKind kind, std::string source, std::string subject,
              std::string detail, double value = 0.0);
 
-  /// Increments counter "name\@source".
-  void count(const std::string& source, const std::string& name,
-             std::uint64_t delta = 1);
   /// Folds one observation into histogram "name\@source".
   void observe(const std::string& source, const std::string& name,
                double value);
 
-  /// Qualified lookup helpers (see qualified_name()).
+  /// Qualified lookup helpers (see qualified_name()).  A counter sums
+  /// every registration exported under the name, live and folded.
   [[nodiscard]] std::uint64_t counter(const std::string& name,
                                       const std::string& source) const;
   [[nodiscard]] const MetricSet::Histogram* histogram(
@@ -67,6 +68,8 @@ class Recorder {
   }
 
  private:
+  friend class CounterExport;
+
   const sim::Engine& engine_;
   TraceSink trace_;
   MetricSet metrics_;

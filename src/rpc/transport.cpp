@@ -142,7 +142,6 @@ MessageId MessageBus::post(Envelope envelope) {
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusPartitionDrop, envelope.from,
                          envelope.to, "", 0.0);
-        recorder_->count("bus", "bus.partitioned");
       }
       return id;
     }
@@ -159,7 +158,6 @@ MessageId MessageBus::post(Envelope envelope) {
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusLoss, envelope.from, envelope.to,
                          "", 0.0);
-        recorder_->count("bus", "bus.lost");
       }
       return id;
     }
@@ -168,7 +166,6 @@ MessageId MessageBus::post(Envelope envelope) {
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusDuplicate, envelope.from,
                          envelope.to, "", 0.0);
-        recorder_->count("bus", "bus.duplicated");
       }
       // The duplicate's extra jitter comes from the fault stream so the
       // legacy stream still sees exactly one draw per logical send.
@@ -185,7 +182,6 @@ MessageId MessageBus::post(Envelope envelope) {
       if (recorder_ != nullptr) {
         recorder_->event(obs::TraceKind::kBusReorder, envelope.from,
                          envelope.to, "", extra);
-        recorder_->count("bus", "bus.reordered");
       }
     }
   }
@@ -206,7 +202,6 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
           if (handoff_pending_.contains(env.to)) {
             ++stats_.dropped_handoff;
             if (recorder_ != nullptr) {
-              recorder_->count("bus", "bus.dropped_handoff");
               recorder_->event(obs::TraceKind::kBusDrop, env.from, env.to,
                                "endpoint_handoff", 0.0);
             }
@@ -215,7 +210,6 @@ void MessageBus::deliver_in(Duration delay, Envelope envelope) {
           ++stats_.dropped_no_endpoint;
           const bool known = ever_registered_.contains(env.to);
           if (recorder_ != nullptr) {
-            recorder_->count("bus", "bus.dropped_no_endpoint");
             recorder_->event(
                 obs::TraceKind::kBusDrop, env.from, env.to,
                 known ? "endpoint_unregistered" : "missing_endpoint", 0.0);

@@ -20,12 +20,9 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/gsi.hpp"
 #include "sim/engine.hpp"
-
-namespace sphinx::obs {
-class Recorder;
-}  // namespace sphinx::obs
 
 namespace sphinx::rpc {
 
@@ -58,6 +55,18 @@ struct BusStats {
   std::size_t duplicated_injected = 0;   ///< extra deliveries scheduled
   std::size_t partition_dropped = 0;     ///< link inside a partition window
   std::size_t reordered_injected = 0;    ///< jitter spikes applied
+};
+
+/// BusStats as the recorder exports it, "name\@bus".
+inline constexpr obs::CounterField<BusStats> kBusCounters[] = {
+    {"bus.sent", &BusStats::sent},
+    {"bus.delivered", &BusStats::delivered},
+    {"bus.dropped_no_endpoint", &BusStats::dropped_no_endpoint},
+    {"bus.dropped_handoff", &BusStats::dropped_handoff},
+    {"bus.lost", &BusStats::lost_injected},
+    {"bus.duplicated", &BusStats::duplicated_injected},
+    {"bus.partitioned", &BusStats::partition_dropped},
+    {"bus.reordered", &BusStats::reordered_injected},
 };
 
 /// One fault rule scoped to a link (endpoint-name prefix pair) and a time
@@ -145,12 +154,14 @@ class MessageBus {
   [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
 
-  /// Attaches a flight recorder; every delivery records its latency and
-  /// every injected fault records an observe-only event.  Pass nullptr
-  /// to detach.  Observation only -- attaching a recorder changes
-  /// neither delivery timing nor the RNG streams.
-  void set_recorder(obs::Recorder* recorder) noexcept {
+  /// Attaches a flight recorder; every delivery records its latency,
+  /// every injected fault records an observe-only event, and stats() is
+  /// exported as kBusCounters.  Pass nullptr to detach.  Observation
+  /// only -- attaching a recorder changes neither delivery timing nor
+  /// the RNG streams.
+  void set_recorder(obs::Recorder* recorder) {
     recorder_ = recorder;
+    counters_.attach(recorder, "bus", stats_, kBusCounters);
   }
 
  private:
@@ -173,6 +184,7 @@ class MessageBus {
   std::unordered_set<std::string> handoff_pending_;
   IdGenerator<MessageId> ids_;
   BusStats stats_;
+  obs::CounterExport counters_;  ///< exports stats_; after it, so it folds first
   NetworkFaultConfig faults_;
   // Placeholder seed, never drawn from: configuring faults move-assigns
   // a stream-derived Rng over it.

@@ -44,7 +44,7 @@ TEST(CoreE2E, SingleDagCompletesOnHealthyGrid) {
   EXPECT_LT(outcome.completion_time(), hours(3));
   EXPECT_EQ(tenant.client->tracker_stats().completions, dag.size());
   EXPECT_EQ(tenant.client->tracker_stats().timeouts, 0u);
-  EXPECT_EQ(tenant.server->stats().plans_sent, dag.size());
+  EXPECT_EQ(tenant.server->stats().plans_sent(), dag.size());
   EXPECT_EQ(tenant.server->stats().replans, 0u);
 
   // Every job's output is now registered in the RLS.
@@ -107,7 +107,7 @@ TEST(CoreE2E, DagReducerSkipsMaterializedJobs) {
 
   EXPECT_TRUE(tenant.client->all_dags_finished());
   EXPECT_EQ(tenant.server->stats().jobs_reduced, dag.size());
-  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  EXPECT_EQ(tenant.server->stats().plans_sent(), 0u);
   // DAG completion was nearly instantaneous (no execution happened).
   EXPECT_LT(tenant.client->dag_outcomes().front().completion_time(),
             minutes(2));

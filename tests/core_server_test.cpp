@@ -156,7 +156,7 @@ TEST(ServerProtocol, StoppedServerPlansNothing) {
   scenario.engine().run_until(minutes(30));
   // The DAG was received but never planned.
   EXPECT_EQ(tenant.server->stats().dags_received, 1u);
-  EXPECT_EQ(tenant.server->stats().plans_sent, 0u);
+  EXPECT_EQ(tenant.server->stats().plans_sent(), 0u);
   // Restart: scheduling resumes where it left off.
   tenant.server->start();
   scenario.run(hours(6));

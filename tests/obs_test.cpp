@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -92,17 +93,44 @@ TEST(TraceSink, JsonlIsOneObjectPerLine) {
 
 // --- metric set ------------------------------------------------------------
 
+/// A component-style stats struct and its export table.
+struct ProbeStats {
+  std::size_t sweeps = 0;
+  std::size_t plans = 0;
+};
+constexpr CounterField<ProbeStats> kProbeCounters[] = {
+    {"probe.sweeps", &ProbeStats::sweeps},
+    {"probe.plans", &ProbeStats::plans},
+};
+
+/// The pattern every component follows: the struct, then its export.
+struct Probe {
+  ProbeStats stats;
+  CounterExport counters;
+  Probe(Recorder* recorder, const std::string& source) {
+    counters.attach(recorder, source, stats, kProbeCounters);
+  }
+};
+
 TEST(MetricSet, CountersAndHistograms) {
-  MetricSet metrics;
-  EXPECT_EQ(metrics.counter("missing"), 0u);
+  sim::Engine engine;
+  Recorder recorder(engine);
+  const MetricSet& metrics = recorder.metrics();
+  EXPECT_EQ(metrics.counter("probe.sweeps", "a"), 0u);
   EXPECT_EQ(metrics.histogram("missing"), nullptr);
-  metrics.add("a");
-  metrics.add("a", 4);
-  metrics.add("b");
-  EXPECT_EQ(metrics.counter("a"), 5u);
-  EXPECT_EQ(metrics.counter("b"), 1u);
-  metrics.observe("lat", 1.0);
-  metrics.observe("lat", 3.0);
+  Probe a(&recorder, "a");
+  Probe b(&recorder, "b");
+  a.stats.sweeps = 5;  // read live: no copy to keep in step
+  b.stats.sweeps = 1;
+  EXPECT_EQ(metrics.counter("probe.sweeps", "a"), 5u);
+  EXPECT_EQ(metrics.counter("probe.sweeps", "b"), 1u);
+  EXPECT_EQ(metrics.counter("probe.plans", "a"), 0u);
+  const auto counters = metrics.counters();
+  EXPECT_EQ(counters.size(), 4u);  // every exported field, zeros too
+  EXPECT_EQ(counters.at("probe.sweeps@a"), 5u);
+
+  recorder.observe("", "lat", 1.0);
+  recorder.observe("", "lat", 3.0);
   const auto* histogram = metrics.histogram("lat");
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->stats.count(), 2u);
@@ -111,17 +139,66 @@ TEST(MetricSet, CountersAndHistograms) {
 }
 
 TEST(MetricSet, JsonIsOrderedAndStable) {
-  MetricSet metrics;
-  metrics.add("z.counter", 2);
-  metrics.add("a.counter", 1);
-  metrics.observe("h", 4.0);
-  const std::string json = metrics.to_json();
-  // std::map storage: "a.counter" serializes before "z.counter" no
-  // matter the insertion order.
-  EXPECT_LT(json.find("a.counter"), json.find("z.counter"));
+  sim::Engine engine;
+  Recorder recorder(engine);
+  Probe z(&recorder, "z");
+  Probe a(&recorder, "a");
+  z.stats.plans = 2;
+  a.stats.plans = 1;
+  recorder.observe("", "h", 4.0);
+  const std::string json = recorder.metrics().to_json();
+  // Ordered by qualified name no matter the registration order.
+  EXPECT_LT(json.find("probe.plans@a"), json.find("probe.plans@z"));
+  EXPECT_NE(json.find("\"probe.plans@z\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"count\": 1, \"mean\": 4"), std::string::npos);
   // Serialization is a pure function of the contents.
-  EXPECT_EQ(json, metrics.to_json());
+  EXPECT_EQ(json, recorder.metrics().to_json());
+}
+
+TEST(MetricSet, SharedNamesSumAndDestroyedComponentsFoldIntoTheTotal) {
+  sim::Engine engine;
+  Recorder recorder(engine);
+  auto first = std::make_unique<Probe>(&recorder, "grid");
+  Probe second(&recorder, "grid");
+  first->stats.sweeps = 3;
+  second.stats.sweeps = 4;
+  EXPECT_EQ(recorder.counter("probe.sweeps", "grid"), 7u);
+  // A crash: the incarnation goes, its count stays in the run total.
+  first.reset();
+  EXPECT_EQ(recorder.counter("probe.sweeps", "grid"), 7u);
+  auto third = std::make_unique<Probe>(&recorder, "grid");
+  third->stats.sweeps = 2;
+  EXPECT_EQ(recorder.counter("probe.sweeps", "grid"), 9u);
+  EXPECT_EQ(recorder.metrics().counters().at("probe.sweeps@grid"), 9u);
+  // Re-attaching to the same recorder must not count the struct twice.
+  third->counters.attach(&recorder, "grid", third->stats, kProbeCounters);
+  EXPECT_EQ(recorder.counter("probe.sweeps", "grid"), 9u);
+  third.reset();
+  EXPECT_EQ(recorder.counter("probe.sweeps", "grid"), 9u);
+}
+
+TEST(MetricSet, RegistrationSurvivesEitherDestructionOrder) {
+  sim::Engine engine;
+  {  // component first
+    Recorder recorder(engine);
+    {
+      Probe probe(&recorder, "p");
+      probe.stats.plans = 6;
+    }
+    EXPECT_EQ(recorder.counter("probe.plans", "p"), 6u);
+  }
+  {  // recorder first: the component keeps counting into its struct
+    Probe probe(nullptr, "p");
+    {
+      Recorder recorder(engine);
+      probe.counters.attach(&recorder, "p", probe.stats, kProbeCounters);
+      probe.stats.plans = 1;
+      EXPECT_EQ(recorder.counter("probe.plans", "p"), 1u);
+    }
+    ++probe.stats.plans;
+    EXPECT_EQ(probe.stats.plans, 2u);
+    probe.counters.detach();  // a dangling registration would crash here
+  }
 }
 
 // --- recorder --------------------------------------------------------------
@@ -132,16 +209,17 @@ TEST(Recorder, QualifiedNamesAndEngineStamping) {
 
   sim::Engine engine;
   Recorder recorder(engine);
+  Probe probe(&recorder, "srv");
   engine.schedule_at(7.0, "emit", [&] {
     recorder.event(TraceKind::kSweepBegin, "srv", "", "", 3.0);
-    recorder.count("srv", "sweeps");
+    ++probe.stats.sweeps;
     recorder.observe("srv", "depth", 3.0);
   });
   engine.run_until();
   ASSERT_EQ(recorder.trace().size(), 1u);
   EXPECT_DOUBLE_EQ(recorder.trace().events().front().at, 7.0);
-  EXPECT_EQ(recorder.counter("sweeps", "srv"), 1u);
-  EXPECT_EQ(recorder.counter("sweeps", "other"), 0u);
+  EXPECT_EQ(recorder.counter("probe.sweeps", "srv"), 1u);
+  EXPECT_EQ(recorder.counter("probe.sweeps", "other"), 0u);
   const auto* histogram = recorder.histogram("depth", "srv");
   ASSERT_NE(histogram, nullptr);
   EXPECT_DOUBLE_EQ(histogram->stats.mean(), 3.0);
@@ -188,15 +266,17 @@ TEST(Export, WritesSerializedFormsVerbatim) {
   event.at = 1.0;
   event.source = "s";
   sink.record(event);
-  MetricSet metrics;
-  metrics.add("c", 3);
+  sim::Engine engine;
+  Recorder recorder(engine);
+  Probe probe(&recorder, "c");
+  probe.stats.sweeps = 3;
 
   const std::string trace_path = ::testing::TempDir() + "obs_trace.jsonl";
   const std::string metrics_path = ::testing::TempDir() + "obs_metrics.json";
   ASSERT_TRUE(write_trace_jsonl(sink, trace_path).ok());
-  ASSERT_TRUE(write_metrics_json(metrics, metrics_path).ok());
+  ASSERT_TRUE(write_metrics_json(recorder.metrics(), metrics_path).ok());
   EXPECT_EQ(slurp(trace_path), sink.to_jsonl());
-  EXPECT_EQ(slurp(metrics_path), metrics.to_json());
+  EXPECT_EQ(slurp(metrics_path), recorder.metrics().to_json());
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
 }
