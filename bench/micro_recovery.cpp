@@ -82,7 +82,7 @@ void BM_RecoverCheckpointed(benchmark::State& state) {
   state.counters["journal_bytes"] =
       static_cast<double>(warehouse->journal().size_bytes());
   state.counters["snapshot_bytes"] =
-      static_cast<double>(image->database.size());
+      static_cast<double>(image->database->size());
 }
 BENCHMARK(BM_RecoverCheckpointed)->Arg(1000)->Arg(10000)->Arg(100000);
 
@@ -120,7 +120,7 @@ void BM_CheckpointPublish(benchmark::State& state) {
     benchmark::DoNotOptimize(warehouse->checkpoint(now).snapshot_bytes);
   }
   state.counters["snapshot_bytes"] =
-      static_cast<double>(warehouse->checkpoint_image()->database.size());
+      static_cast<double>(warehouse->checkpoint_image()->database->size());
 }
 BENCHMARK(BM_CheckpointPublish)
     ->Args({2048, 0})
@@ -131,7 +131,7 @@ BENCHMARK(BM_CheckpointPublish)
 /// parse half of checkpointed recovery, without the journal suffix.
 void BM_SnapshotRestore(benchmark::State& state) {
   const auto warehouse = build_sites(static_cast<int>(state.range(0)));
-  const std::string& image = warehouse->checkpoint_image()->database;
+  const std::string& image = *warehouse->checkpoint_image()->database;
   for (auto _ : state) {
     db::Database restored;
     benchmark::DoNotOptimize(restored.restore(image).ok());

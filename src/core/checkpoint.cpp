@@ -18,7 +18,7 @@ std::string CheckpointImage::serialize() const {
     db::append_uint(out, row);
   }
   out += '\n';
-  out += database;
+  out += *database;
   return out;
 }
 
@@ -61,7 +61,7 @@ Expected<CheckpointImage> CheckpointImage::parse(const std::string& text) {
     image.dirty_rows.push_back(*row);
   }
   // The rest is the database snapshot, byte-for-byte.
-  image.database = std::string(rest);
+  image.database = std::make_shared<const std::string>(rest);
   return image;
 }
 

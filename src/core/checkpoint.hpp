@@ -12,6 +12,7 @@
 /// top of the restored image reproduces the crashed warehouse exactly.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,10 @@ struct CheckpointImage {
   /// policy on the recovered instance so baseline and recovered runs
   /// keep checkpointing in lockstep.
   SimTime at = 0.0;
-  /// db::Database::snapshot() image.
-  std::string database;
+  /// db::Database::snapshot() image, shared with the database that took
+  /// it and with every copy of this checkpoint; never null.
+  std::shared_ptr<const std::string> database =
+      std::make_shared<const std::string>();
   /// Dirty-DAG work queue (dags-table row ids, ascending) at the
   /// checkpoint.  Folded into the image because drain points at or
   /// before the checkpoint are compacted out of the journal with the

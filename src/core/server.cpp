@@ -199,7 +199,7 @@ void SphinxServer::maybe_checkpoint() {
                            "", "seq:" + std::to_string(image.seq), compacted);
           recorder_->observe(config_.endpoint,
                              "server.checkpoint_snapshot_bytes",
-                             static_cast<double>(image.database.size()));
+                             static_cast<double>(image.database->size()));
           recorder_->observe(config_.endpoint, "server.checkpoint_compacted",
                              compacted);
         }

@@ -227,7 +227,7 @@ Expected<std::unique_ptr<DataWarehouse>> DataWarehouse::recover_from(
   auto warehouse =
       std::unique_ptr<DataWarehouse>(new DataWarehouse(false));
   if (const auto status = warehouse->db_.restore(
-          checkpoint.database, db::Database::Sweep::kByCaller);
+          *checkpoint.database, db::Database::Sweep::kByCaller);
       !status.ok()) {
     return Unexpected<Error>{status.error()};
   }
@@ -265,13 +265,14 @@ DataWarehouse::CheckpointStats DataWarehouse::checkpoint(
   CheckpointImage image;
   image.seq = db_.journal().next_seq();
   image.at = now;
-  image.database = db_.snapshot();
+  db_.snapshot();
+  image.database = db_.image();
   image.dirty_rows.assign(dirty_rows_.begin(), dirty_rows_.end());
 
   CheckpointStats stats;
   stats.seq = image.seq;
   stats.compacted_records = db_.journal().size();
-  stats.snapshot_bytes = image.database.size();
+  stats.snapshot_bytes = image.database->size();
 
   // Publish first: from here on a recovered instance no longer needs the
   // journal prefix, whether or not the truncation below completes.

@@ -176,11 +176,13 @@ StatusOrError Database::recover(const Journal& journal,
   return {};
 }
 
-std::string Database::snapshot() {
+const std::string& Database::snapshot() {
+  const std::string_view previous =
+      image_ != nullptr ? std::string_view(*image_) : std::string_view{};
   std::string out;
   // The image grows slowly between checkpoints; a little headroom spares
   // the doubling reallocation.
-  out.reserve(image_.size() + image_.size() / 16 + 64);
+  out.reserve(previous.size() + previous.size() / 16 + 64);
   out += "#db\t1\n";
   for (std::size_t slot = 0; slot < tables_.size(); ++slot) {
     const Table& t = *tables_[slot];
@@ -193,10 +195,10 @@ std::string Database::snapshot() {
       append_column(out, col);
     }
     out += '\n';
-    append_rows(t, image_, images_[slot], out);
+    append_rows(t, previous, images_[slot], out);
   }
-  image_ = out;
-  return out;
+  image_ = std::make_shared<const std::string>(std::move(out));
+  return *image_;
 }
 
 void Database::append_rows(const Table& table, std::string_view previous,
@@ -367,7 +369,8 @@ void Database::check_invariants() const {
       SPHINX_INVARIANT(i == 0 || spans[i - 1].id < spans[i].id,
                        "image index out of id order in table " +
                            table->name());
-      SPHINX_INVARIANT(spans[i].offset + spans[i].length <= image_.size(),
+      SPHINX_INVARIANT(image_ != nullptr &&
+                           spans[i].offset + spans[i].length <= image_->size(),
                        "image index past the last image in table " +
                            table->name());
     }
@@ -382,7 +385,7 @@ void Database::check_invariants() const {
 void Database::mark_stale(std::size_t slot, RowId id) {
   // Before the first image there is nothing to patch: it encodes every
   // row, and so does the first image of a table created after it.
-  if (image_.empty()) return;
+  if (image_ == nullptr) return;
   TableImage& image = images_[slot];
   if (image.imaged && (image.stale.empty() || image.stale.back() != id)) {
     image.stale.push_back(id);

@@ -69,8 +69,18 @@ class Database : private TableObserver {
   /// bytes in contiguous runs and encodes only the marked rows and the
   /// table header lines, so it costs O(rows changed + image bytes).  The
   /// first image, and the first one of a table created since, is the
-  /// same walk with every row marked.
-  [[nodiscard]] std::string snapshot();
+  /// same walk with every row marked.  The database keeps the returned
+  /// image (see image()) until the next one.
+  const std::string& snapshot();
+
+  /// The last snapshot() image as an immutable shared buffer, null
+  /// before the first.  A caller that keeps an image (the warehouse's
+  /// checkpoint, a crashed server's durable state) shares this buffer
+  /// rather than copying it.
+  [[nodiscard]] const std::shared_ptr<const std::string>& image()
+      const noexcept {
+    return image_;
+  }
 
   /// Rebuilds tables from a snapshot() image into this empty database.
   /// The snapshot is state, not history: nothing is journaled and the
@@ -143,8 +153,8 @@ class Database : private TableObserver {
   Journal journal_;
   bool journaling_ = true;
   /// The last snapshot() image and, per table in creation order, where
-  /// its rows sit in it.  Empty until the first snapshot().
-  std::string image_;  // sphinx-lint: derived(snapshot)
+  /// its rows sit in it.  Null until the first snapshot().
+  std::shared_ptr<const std::string> image_;  // sphinx-lint: derived(snapshot)
   std::vector<TableImage> images_;  // sphinx-lint: derived(create_table, snapshot, mark_stale)
 };
 

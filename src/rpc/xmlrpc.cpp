@@ -167,8 +167,8 @@ template <typename T>
 /// first problem and leaves it in error(): "xml_parse" for malformed XML,
 /// "xmlrpc_parse" for well-formed XML that is not a valid XML-RPC
 /// message.  Elements XML-RPC does not read are still checked for
-/// well-formedness, so the accepted set is that of xml_parse() followed
-/// by a tree walk.
+/// well-formedness, so the accepted set is that of the old DOM parse
+/// followed by a tree walk (kept as the oracle in tests/rpc_xml_test.cpp).
 class WireReader {
  public:
   explicit WireReader(std::string_view text) noexcept : text_(text) {}

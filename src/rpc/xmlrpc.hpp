@@ -10,8 +10,8 @@
 /// The codec is single-pass: serialize() appends straight into one
 /// string and parse() walks the payload once with a cursor, building
 /// XrValue directly.  No XML document tree is built on the wire path.
-/// The parser accepts the XML subset of rpc/xml.hpp (attributes,
-/// the five predefined entities, an optional <?xml?> declaration) and
+/// The parser accepts a small XML subset (elements, attributes, the
+/// five predefined entities, an optional <?xml?> declaration) and
 /// ignores elements XML-RPC does not define; numeric scalars must be
 /// the whole element text.
 

@@ -341,7 +341,7 @@ std::unique_ptr<core::DataWarehouse> sample_warehouse() {
 std::string warehouse_image() {
   const auto wh = sample_warehouse();
   wh->checkpoint(7.0);
-  return wh->checkpoint_image()->database;
+  return *wh->checkpoint_image()->database;
 }
 
 TEST(Database, RecoverDetectsCorruptReplay) {

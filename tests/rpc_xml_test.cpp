@@ -1,15 +1,16 @@
-// Tests for the XML layer (the document model workflow/dax uses) and the
-// single-pass XML-RPC codec, including a differential test against the
-// DOM codec (XmlNode tree + xml_write/xml_parse) the wire path used
-// before.
+// Tests for the single-pass XML-RPC codec, including a differential
+// test against the DOM codec (XmlNode tree + xml_write/xml_parse) the
+// wire path used before, which this file keeps as the oracle.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,12 +18,265 @@
 
 #include "common/rng.hpp"
 #include "core/codec.hpp"
-#include "rpc/xml.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "workflow/generator.hpp"
 
 namespace sphinx::rpc {
 namespace {
+
+// --- the DOM layer ----------------------------------------------------------
+// The XML document model the wire path used before the single-pass
+// codec: an XmlNode tree, xml_write and xml_parse.  Nothing in the
+// library uses it any more; it stays here, unchanged, as the oracle of
+// XmlRpcDifferential.SinglePassCodecMatchesDomCodec (and the Xml tests
+// below pin the oracle itself).
+
+/// One XML element.  Children are owned; text is the concatenated
+/// character data directly inside this element.
+struct XmlNode {
+  std::string name;
+  std::map<std::string, std::string> attributes;
+  std::vector<XmlNode> children;
+  std::string text;
+
+  XmlNode() = default;
+  explicit XmlNode(std::string n) : name(std::move(n)) {}
+  XmlNode(std::string n, std::string t) : name(std::move(n)), text(std::move(t)) {}
+
+  /// Appends a child and returns a reference to it.
+  XmlNode& add_child(XmlNode child) {
+    children.push_back(std::move(child));
+    return children.back();
+  }
+
+  /// First child with the given element name; nullptr if absent.
+  [[nodiscard]] const XmlNode* child(const std::string& name) const noexcept {
+    for (const XmlNode& c : children) {
+      if (c.name == name) return &c;
+    }
+    return nullptr;
+  }
+
+  /// All children with the given element name.
+  [[nodiscard]] std::vector<const XmlNode*> children_named(
+      const std::string& name) const {
+    std::vector<const XmlNode*> out;
+    for (const XmlNode& c : children) {
+      if (c.name == name) out.push_back(&c);
+    }
+    return out;
+  }
+
+  /// Attribute value or empty string.
+  [[nodiscard]] std::string attribute(const std::string& key) const {
+    const auto it = attributes.find(key);
+    return it == attributes.end() ? std::string{} : it->second;
+  }
+};
+
+/// Escapes the five predefined entities in character data.
+std::string xml_escape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&apos;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+void write_node(const XmlNode& node, std::string& out, int indent, int depth) {
+  const std::string pad =
+      indent >= 0 ? std::string(static_cast<std::size_t>(indent) * depth, ' ')
+                  : std::string{};
+  out += pad + "<" + node.name;
+  for (const auto& [k, v] : node.attributes) {
+    out += " " + k + "=\"" + xml_escape(v) + "\"";
+  }
+  if (node.children.empty() && node.text.empty()) {
+    out += "/>";
+    if (indent >= 0) out += '\n';
+    return;
+  }
+  out += ">";
+  out += xml_escape(node.text);
+  if (!node.children.empty()) {
+    if (indent >= 0) out += '\n';
+    for (const XmlNode& c : node.children) {
+      write_node(c, out, indent, depth + 1);
+    }
+    out += pad;
+  }
+  out += "</" + node.name + ">";
+  if (indent >= 0) out += '\n';
+}
+
+/// Recursive-descent XML parser over the subset xml_write() produces.
+class Parser {
+ public:
+  explicit Parser(const std::string& text) : text_(text) {}
+
+  Expected<XmlNode> parse() {
+    skip_ws();
+    if (!skip_declaration()) return fail("bad XML declaration");
+    skip_ws();
+    auto root = parse_element();
+    if (!root) return root;
+    skip_ws();
+    if (pos_ != text_.size()) return fail("trailing content after root");
+    return root;
+  }
+
+ private:
+  Unexpected<Error> fail(const std::string& what) const {
+    return make_error("xml_parse",
+                      what + " at offset " + std::to_string(pos_));
+  }
+
+  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
+  [[nodiscard]] char peek() const noexcept {
+    return at_end() ? '\0' : text_[pos_];
+  }
+  char take() noexcept { return at_end() ? '\0' : text_[pos_++]; }
+
+  void skip_ws() noexcept {
+    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) {
+      ++pos_;
+    }
+  }
+
+  bool skip_declaration() noexcept {
+    if (text_.compare(pos_, 2, "<?") != 0) return true;
+    const auto end = text_.find("?>", pos_);
+    if (end == std::string::npos) return false;
+    pos_ = end + 2;
+    return true;
+  }
+
+  [[nodiscard]] bool name_char(char c) const noexcept {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+           c == '-' || c == '.' || c == ':';
+  }
+
+  std::string parse_name() {
+    std::string name;
+    while (!at_end() && name_char(peek())) name += take();
+    return name;
+  }
+
+  Expected<std::string> decode_text(std::string_view raw) const {
+    std::string out;
+    out.reserve(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i] != '&') {
+        out += raw[i];
+        continue;
+      }
+      const auto semi = raw.find(';', i);
+      if (semi == std::string_view::npos) {
+        return make_error("xml_parse", "unterminated entity");
+      }
+      const std::string_view entity = raw.substr(i + 1, semi - i - 1);
+      if (entity == "amp") out += '&';
+      else if (entity == "lt") out += '<';
+      else if (entity == "gt") out += '>';
+      else if (entity == "quot") out += '"';
+      else if (entity == "apos") out += '\'';
+      else return make_error("xml_parse", "unknown entity: " + std::string(entity));
+      i = semi;
+    }
+    return out;
+  }
+
+  Expected<XmlNode> parse_element() {
+    if (take() != '<') return fail("expected '<'");
+    XmlNode node;
+    node.name = parse_name();
+    if (node.name.empty()) return fail("empty element name");
+
+    // Attributes.
+    while (true) {
+      skip_ws();
+      if (peek() == '/') {
+        ++pos_;
+        if (take() != '>') return fail("expected '>' after '/'");
+        return node;
+      }
+      if (peek() == '>') {
+        ++pos_;
+        break;
+      }
+      const std::string key = parse_name();
+      if (key.empty()) return fail("expected attribute name");
+      skip_ws();
+      if (take() != '=') return fail("expected '='");
+      skip_ws();
+      const char quote = take();
+      if (quote != '"' && quote != '\'') return fail("expected quote");
+      std::string raw;
+      while (!at_end() && peek() != quote) raw += take();
+      if (take() != quote) return fail("unterminated attribute");
+      auto decoded = decode_text(raw);
+      if (!decoded) return Unexpected<Error>{decoded.error()};
+      node.attributes[key] = std::move(*decoded);
+    }
+
+    // Content: text and child elements until the matching close tag.
+    std::string raw_text;
+    while (true) {
+      if (at_end()) return fail("unexpected end inside <" + node.name + ">");
+      if (peek() == '<') {
+        if (text_.compare(pos_, 2, "</") == 0) {
+          pos_ += 2;
+          const std::string closing = parse_name();
+          if (closing != node.name) {
+            return fail("mismatched close tag </" + closing + ">");
+          }
+          skip_ws();
+          if (take() != '>') return fail("expected '>' in close tag");
+          auto decoded = decode_text(raw_text);
+          if (!decoded) return Unexpected<Error>{decoded.error()};
+          node.text = std::move(*decoded);
+          // Pretty-printed documents put layout whitespace between child
+          // elements; that is not character data the caller wrote.
+          if (!node.children.empty() &&
+              node.text.find_first_not_of(" \t\r\n") == std::string::npos) {
+            node.text.clear();
+          }
+          return node;
+        }
+        auto child = parse_element();
+        if (!child) return child;
+        node.children.push_back(std::move(*child));
+      } else {
+        raw_text += take();
+      }
+    }
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
+
+/// Serializes a node (and subtree); \param indent pretty-prints when
+/// >= 0 (that many spaces per level), -1 emits compact output.
+std::string xml_write(const XmlNode& root, int indent = -1) {
+  std::string out;
+  write_node(root, out, indent, 0);
+  return out;
+}
+
+/// Parses one document (a single root element, optional `<?xml?>`
+/// declaration); an error names the first syntax problem.
+Expected<XmlNode> xml_parse(const std::string& text) {
+  return Parser(text).parse();
+}
 
 TEST(Xml, EscapeRoundTripsEntities) {
   const std::string raw = R"(a & b < c > d "e" 'f')";
