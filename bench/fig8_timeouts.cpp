@@ -28,8 +28,8 @@ int main() {
   const auto results = experiment.run(specs);
 
   // Headline numbers come from the flight recorder's per-server replan
-  // counters (one increment per attempt > 1 plan in the planner sweep)
-  // rather than the tenants' ad-hoc counters.
+  // counters (ServerStats::replans, one increment per attempt > 1 plan
+  // in the planner sweep), which stay run-wide across server crashes.
   const auto& recorder = experiment.recorder();
   const auto reschedules = [&](const std::string& label) -> double {
     return static_cast<double>(

@@ -86,7 +86,6 @@ class FailureModel {
   }
 
   [[nodiscard]] const FailureStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t outages() const noexcept { return stats_.outages; }
   [[nodiscard]] const FailureConfig& config() const noexcept { return config_; }
 
  private:

@@ -312,7 +312,7 @@ TEST(FailureModel, CyclesThroughOutages) {
   FailureModel model(engine, site, config, Rng(2));
   model.start();
   engine.run_until(hours(10));
-  EXPECT_GT(model.outages(), 10u);
+  EXPECT_GT(model.stats().outages, 10u);
 }
 
 TEST(FailureModel, AllZeroWeightsFallBackToPlainDowntime) {
@@ -331,10 +331,10 @@ TEST(FailureModel, AllZeroWeightsFallBackToPlainDowntime) {
   model.start();
   // Step in small increments so we observe the site mid-outage, before
   // the repair lands (mean downtime is two minutes).
-  while (model.outages() == 0 && engine.now() < hours(10)) {
+  while (model.stats().outages == 0 && engine.now() < hours(10)) {
     engine.run_until(engine.now() + 1.0);
   }
-  ASSERT_GT(model.outages(), 0u);
+  ASSERT_GT(model.stats().outages, 0u);
   EXPECT_EQ(site.health(), SiteHealth::kDown);
 }
 
@@ -356,7 +356,7 @@ TEST(FailureModel, DisabledNeverFails) {
   FailureModel model(engine, site, FailureConfig{}, Rng(2));
   model.start();
   engine.run_until(hours(100));
-  EXPECT_EQ(model.outages(), 0u);
+  EXPECT_EQ(model.stats().outages, 0u);
   EXPECT_EQ(site.health(), SiteHealth::kHealthy);
 }
 

@@ -526,7 +526,19 @@ TEST(StragglerChaos, MidRaceCrashRecoveryIsByteInvisible) {
         chaos::run_chaos_pair(config, crashed);
     EXPECT_TRUE(result.ok())
         << "crash at record " << at << ": " << result.violation();
+    EXPECT_EQ(result.speculations, probe.speculations)
+        << "crash at record " << at;
   }
+
+  // A crash after the race launched: the reported count is run-wide, so
+  // the replica the crashed instance launched still counts.
+  chaos::ChaosSchedule late = schedule;
+  late.crash_records = {total - 1};
+  const chaos::ChaosRunResult after_race =
+      chaos::run_chaos_pair(config, late);
+  EXPECT_TRUE(after_race.ok()) << after_race.violation();
+  EXPECT_EQ(after_race.crashes_executed, 1u);
+  EXPECT_EQ(after_race.speculations, probe.speculations);
 }
 
 TEST(StragglerChaos, ReproJsonRoundTripsSpeculateFlag) {

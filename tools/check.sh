@@ -99,6 +99,27 @@ diff "$lossy_dir/spec_trace_a.jsonl" "$lossy_dir/spec_trace_b.jsonl"
 diff "$lossy_dir/spec_metrics_a.json" "$lossy_dir/spec_metrics_b.json"
 echo "lossy-network gate: delivery contract held, outputs byte-identical"
 
+echo "== counter golden gate =="
+# The counters block of the determinism and speculate runs' metrics.json
+# is pinned in bench/golden/, so a counter's name or value cannot drift
+# silently.  Every counter is a component's stats-struct field exported
+# through the recorder; a change that adds, renames or moves one updates
+# the golden file and says why in its change notes.
+counters_block() {
+  sed -n '/^  "counters": {/,/^  }/p' "$1"
+}
+counters_block "$det_dir/metrics_a.json" > "$det_dir/counters.txt"
+diff bench/golden/counters_seed7.txt "$det_dir/counters.txt" || {
+  echo "counter drift: see bench/golden/counters_seed7.txt" >&2
+  exit 1
+}
+counters_block "$lossy_dir/spec_metrics_a.json" > "$lossy_dir/spec_counters.txt"
+diff bench/golden/counters_speculate.txt "$lossy_dir/spec_counters.txt" || {
+  echo "counter drift: see bench/golden/counters_speculate.txt" >&2
+  exit 1
+}
+echo "counter golden gate: exported counters byte-identical"
+
 echo "== chaos smoke campaign =="
 # A fixed-seed 8-run chaos campaign (scheduled outages + mid-run server
 # crash/recovery, differential + invariant oracles) must pass and must
