@@ -87,7 +87,7 @@ TEST(ExportedCounters, EqualTheirStructFieldsOnALiveRun) {
                   kClient);
   expect_exported(run, rpc::kBusCounters, run.scenario->bus().stats(), "bus");
   expect_exported(run, kCrashCounters, run.scenario->crash_stats(), "chaos");
-  // site.outages\@grid sums every site's failure model: one per traced
+  // site.outages@grid sums every site's failure model: one per traced
   // outage, the permanent black hole included.
   EXPECT_GT(run.counter("site.outages", "grid"), 0u);
   std::size_t outages = 0;
